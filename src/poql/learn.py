@@ -6,6 +6,18 @@ a per-observation Hoeffding test whose significance is controlled by eps_al:
 smaller eps_al widens the acceptance bound, so smaller values merge more
 aggressively and yield smaller models.
 
+Most of a prefix tree is unique trace tails: the part of a trace after it
+leaves every other trace of the sample. Each such tail is stored as one
+compressed node, a reference (steps, pos) into that trace's step tuple, and
+is expanded one level at a time only when a second trace passes through it,
+when a merge adds counts into it, or when it is promoted to a state. A
+tail's edges all have frequency 1, so on a tail every Hoeffding bound is at
+least sqrt(ln(2 / eps_al) / 2) * (1 + 1/sqrt(n)) for the other side's n.
+When that scale is at least 1, i.e. eps_al <= 2/e^2 ~= 0.27, no test can
+fire and a tail is compatible with anything. Above 2/e^2 the exact test runs
+at each step of the tail against the other side, so the learned model is
+the same as with a fully expanded tree at every eps_al.
+
 A learning run mutates its own tree, so each invocation is single-threaded;
 the returned models are immutable.
 """
@@ -15,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log, sqrt
-from typing import Iterable, Mapping
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .models import DeterministicLabeledMdp, ObsTrace, check_symbol, read_trace_file
 
@@ -24,31 +37,68 @@ class InconsistentSample(ValueError):
     """Raised when the traces of one sample do not share an initial observation."""
 
 
+_EMPTY = MappingProxyType({})
+
+
 class IofptaNode:
     """Prefix tree node: an observation label plus frequency-annotated edges.
 
     children and freq are keyed by (action, observation); an edge exists iff
     its frequency is positive. totals caches the per-action frequency sums.
+
+    A node that only one trace reaches is a compressed tail: steps is that
+    trace's step tuple and pos the index of the node's outgoing step, so the
+    node stands for the chain of frequency-1 edges steps[pos:]. Until it is
+    expanded, its children, freq and totals are empty read-only mappings.
+    Expanded nodes have steps None.
     """
 
-    __slots__ = ("label", "children", "freq", "totals", "red_index")
+    __slots__ = ("label", "children", "freq", "totals", "red_index", "steps", "pos")
 
-    def __init__(self, label: str):
+    def __init__(
+        self, label: str, steps: Sequence[tuple[str, str]] | None = None, pos: int = 0
+    ):
         self.label = label
-        self.children: dict[tuple[str, str], IofptaNode] = {}
-        self.freq: dict[tuple[str, str], int] = {}
-        self.totals: dict[str, int] = {}
         self.red_index: int | None = None
+        self.steps = steps
+        self.pos = pos
+        if steps is None:
+            self.children: dict[tuple[str, str], IofptaNode] = {}
+            self.freq: dict[tuple[str, str], int] = {}
+            self.totals: dict[str, int] = {}
+        else:
+            self.children = self.freq = self.totals = _EMPTY
 
-    def add_step(self, action: str, obs: str) -> "IofptaNode":
+    def expand(self) -> None:
+        """Turn a tail into an ordinary node whose one child is the rest of
+        the tail; a no-op on an expanded node."""
+        steps = self.steps
+        if steps is None:
+            return
+        self.steps = None
+        self.children, self.freq, self.totals = {}, {}, {}
+        if self.pos < len(steps):
+            action, obs = steps[self.pos]
+            key = (action, obs)
+            self.children[key] = IofptaNode(obs, steps, self.pos + 1)
+            self.freq[key] = 1
+            self.totals[action] = 1
+
+
+def _add_path(node: IofptaNode, steps: Sequence[tuple[str, str]], pos: int) -> None:
+    """Add one count along steps[pos:] from node, expanding tails on the way
+    and ending in a new tail where the tree has no matching child."""
+    for pos in range(pos, len(steps)):
+        node.expand()
+        action, obs = steps[pos]
         key = (action, obs)
-        child = self.children.get(key)
+        node.freq[key] = node.freq.get(key, 0) + 1
+        node.totals[action] = node.totals.get(action, 0) + 1
+        child = node.children.get(key)
         if child is None:
-            child = self.children[key] = IofptaNode(obs)
-            self.freq[key] = 0
-        self.freq[key] += 1
-        self.totals[action] = self.totals.get(action, 0) + 1
-        return child
+            node.children[key] = IofptaNode(obs, steps, pos + 1)
+            return
+        node = child
 
 
 @dataclass(frozen=True)
@@ -64,6 +114,8 @@ class Iofpta:
         stack = [self.root]
         while stack:
             node = stack.pop()
+            if node.steps is not None:
+                total += len(node.steps) - node.pos
             total += sum(node.freq.values())
             stack.extend(node.children.values())
         return total
@@ -93,10 +145,15 @@ def build_iofpta(traces: Iterable[ObsTrace]) -> Iofpta:
             raise InconsistentSample(
                 f"initial observations differ: {initial!r} vs {init_obs!r}"
             )
-        node = root
-        for action, obs in steps:
-            node = node.add_step(action, obs)
+        _add_path(root, steps, 0)
     return Iofpta(root, len(traces))
+
+
+def _bound_scale(eps_al: float) -> float:
+    """sqrt(ln(2 / eps_al) / 2), the factor of every Hoeffding bound."""
+    if not 0.0 < eps_al <= 1.0:
+        raise ValueError(f"eps_al must be in (0, 1], got {eps_al}")
+    return sqrt(0.5 * log(2.0 / eps_al))
 
 
 def hoeffding_compatible(
@@ -108,11 +165,10 @@ def hoeffding_compatible(
     empirical frequencies must differ by less than
     sqrt(ln(2 / eps_al) / 2) * (1/sqrt(n1) + 1/sqrt(n2)).
     """
-    if not 0.0 < eps_al <= 1.0:
-        raise ValueError(f"eps_al must be in (0, 1], got {eps_al}")
+    bound_scale = _bound_scale(eps_al)
     if n1 == 0 or n2 == 0:
         return True
-    bound = sqrt(0.5 * log(2.0 / eps_al)) * (1.0 / sqrt(n1) + 1.0 / sqrt(n2))
+    bound = bound_scale * (1.0 / sqrt(n1) + 1.0 / sqrt(n2))
     for obs in f1.keys() | f2.keys():
         if abs(f1.get(obs, 0) / n1 - f2.get(obs, 0) / n2) >= bound:
             return False
@@ -120,20 +176,50 @@ def hoeffding_compatible(
 
 
 def compatible(r: IofptaNode, b: IofptaNode, eps_al: float) -> bool:
-    """Recursive statistical compatibility of two nodes.
+    """Statistical compatibility of two nodes and of their common successors.
 
     Labels must match; for every action the successor-observation frequencies
-    must pass the Hoeffding test; and the check recurses into successors
+    must pass the Hoeffding test; and the check descends into successors
     present on both sides. The second node always lies in an unmerged part of
-    the tree, which bounds the recursion.
+    the tree, which bounds the descent.
     """
+    bound_scale = _bound_scale(eps_al)
     if r.label != b.label:
         return False
-    bound_scale = sqrt(0.5 * log(2.0 / eps_al))
     return _compatible(r, b, bound_scale)
 
 
 def _compatible(r: IofptaNode, b: IofptaNode, bound_scale: float) -> bool:
+    # Depth-first over the pairs of nodes reached by the same path from
+    # (r, b), with an explicit stack of child iterators instead of recursion.
+    stack = []
+    while True:
+        if r.steps is not None or b.steps is not None:
+            if bound_scale < 1.0 and not _tail_compatible(r, b, bound_scale):
+                return False
+        else:
+            if not _node_compatible(r, b, bound_scale):
+                return False
+            stack.append((r.children, iter(b.children.items())))
+        while stack:
+            r_children, b_items = stack[-1]
+            for key, b_child in b_items:
+                r_child = r_children.get(key)
+                if r_child is not None and r_child is not b_child:
+                    if r_child.label != b_child.label:
+                        return False
+                    r, b = r_child, b_child
+                    break
+            else:
+                stack.pop()
+                continue
+            break
+        else:
+            return True
+
+
+def _node_compatible(r: IofptaNode, b: IofptaNode, bound_scale: float) -> bool:
+    """The Hoeffding test of every action of two expanded nodes."""
     for action, n2 in b.totals.items():
         n1 = r.totals.get(action, 0)
         if n1 == 0 or n2 == 0:
@@ -145,31 +231,71 @@ def _compatible(r: IofptaNode, b: IofptaNode, bound_scale: float) -> bool:
             for key in keys:
                 if abs(r.freq.get(key, 0) / n1 - b.freq.get(key, 0) / n2) >= bound:
                     return False
-    for key, b_child in b.children.items():
-        r_child = r.children.get(key)
-        if r_child is not None and r_child is not b_child:
-            if r_child.label != b_child.label:
-                return False
-            if not _compatible(r_child, b_child, bound_scale):
-                return False
+    return True
+
+
+def _tail_compatible(r: IofptaNode, b: IofptaNode, bound_scale: float) -> bool:
+    """Compatibility of a pair in which at least one node is a tail.
+
+    Walks the tail along the other side. At each step the tail side has n=1,
+    and the test is symmetric, so which side is the tail does not matter.
+    """
+    if b.steps is not None:
+        tail, other = b, r
+    else:
+        tail, other = r, b
+    steps = tail.steps
+    for pos in range(tail.pos, len(steps)):
+        if other.steps is not None:
+            return True  # two tails: every bound exceeds 1
+        action, obs = steps[pos]
+        key = (action, obs)
+        n = other.totals.get(action, 0)
+        if n:
+            bound = bound_scale * (1.0 / sqrt(n) + 1.0)
+            if bound <= 1.0:
+                if key not in other.freq:
+                    return False  # a frequency difference of 1
+                for k, f in other.freq.items():
+                    if k[0] == action and abs(f / n - (k == key)) >= bound:
+                        return False
+        other = other.children.get(key)
+        if other is None:
+            return True
     return True
 
 
 def _fold(target: IofptaNode, source: IofptaNode) -> None:
     """Add source's subtree frequencies into target's region of the automaton.
 
-    Matching edges add up and recurse; unmatched subtrees are grafted whole.
-    Recursion descends the unmerged source tree, so it terminates even though
+    Matching edges add up and descend; unmatched subtrees are grafted whole.
+    The walk descends the unmerged source tree, so it terminates even though
     the target region may contain cycles.
     """
-    for key, count in source.freq.items():
-        target.freq[key] = target.freq.get(key, 0) + count
-        target.totals[key[0]] = target.totals.get(key[0], 0) + count
-        t_child = target.children.get(key)
-        if t_child is None:
-            target.children[key] = source.children[key]
+    stack = []
+    while True:
+        if source.steps is not None:
+            _add_path(target, source.steps, source.pos)
+        elif source.freq:
+            target.expand()
+            stack.append((target, source.children, iter(source.freq.items())))
+        while stack:
+            node, s_children, s_items = stack[-1]
+            for key, count in s_items:
+                node.freq[key] = node.freq.get(key, 0) + count
+                node.totals[key[0]] = node.totals.get(key[0], 0) + count
+                t_child = node.children.get(key)
+                if t_child is None:
+                    node.children[key] = s_children[key]
+                else:
+                    target, source = t_child, s_children[key]
+                    break
+            else:
+                stack.pop()
+                continue
+            break
         else:
-            _fold(t_child, source.children[key])
+            return
 
 
 def run_ioalergia(
@@ -214,6 +340,7 @@ def run_ioalergia(
                     merged = True
                     break
             if not merged:
+                blue.expand()
                 blue.red_index = len(red)
                 red.append(blue)
             # Folding can graft new blue nodes onto earlier promoted states,

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -5,7 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poql.envs import hot_beverage_world, sample_pomdp_traces
+from poql.checkpoint import model_to_dict
+from poql.envs import hot_beverage_world, make_environment, sample_pomdp_traces
 from poql.learn import (
     InconsistentSample,
     LearnerConfig,
@@ -14,7 +17,7 @@ from poql.learn import (
     hoeffding_compatible,
     run_ioalergia,
 )
-from poql.models import label_determinism_violations
+from poql.models import label_determinism_violations, reset_to_initial, step_to
 
 
 def _trace(initial, *steps):
@@ -58,6 +61,27 @@ def test_iofpta_merges_common_prefixes():
     assert set(beep.children) == {("button", "coffee"), ("button", "tea")}
 
 
+def test_iofpta_compresses_unique_tails():
+    steps = (("coin", "beep"), ("button", "coffee"), ("coin", "beep"))
+    tree = build_iofpta([_trace("init", *steps), _trace("init", ("coin", "beep"))])
+    beep = tree.root.children[("coin", "beep")]
+    # Two traces reach beep, but only one continues past it: a tail.
+    assert tree.root.freq == {("coin", "beep"): 2}
+    assert (beep.steps, beep.pos) == (steps, 1)
+    assert beep.children == beep.freq == beep.totals == {}
+    with pytest.raises(TypeError):
+        beep.freq[("button", "tea")] = 1
+    assert tree.edge_mass() == 4
+
+    beep.expand()
+    coffee = beep.children[("button", "coffee")]
+    assert beep.steps is None
+    assert beep.freq == {("button", "coffee"): 1}
+    assert beep.totals == {"button": 1}
+    assert (coffee.label, coffee.steps, coffee.pos) == ("coffee", steps, 2)
+    assert tree.edge_mass() == 4
+
+
 def test_iofpta_rejects_differing_initial_observations():
     with pytest.raises(InconsistentSample):
         build_iofpta([_trace("a"), _trace("b")])
@@ -92,6 +116,11 @@ def test_hoeffding_parameter_validation():
         hoeffding_compatible({}, 0, {}, 0, 0.0)
     with pytest.raises(ValueError):
         hoeffding_compatible({}, 0, {}, 0, 1.5)
+    node = build_iofpta([_trace("init")]).root
+    with pytest.raises(ValueError):
+        compatible(node, node, 0.0)
+    with pytest.raises(ValueError):
+        compatible(node, node, 1.5)
 
 
 @settings(max_examples=200)
@@ -168,9 +197,117 @@ def test_compatible_separates_aliased_beverage_states():
     assert compatible(node1, build_iofpta(traces_from(1, 10_000, 3)).root, 0.05)
 
 
+def test_compatible_tests_tails_exactly_above_two_over_e_squared():
+    """A tail has n=1 on every edge. Below 2/e^2 no bound involving it can
+    reach 1; above, a well-sampled node rejects a tail that takes an edge
+    it has never seen, whichever side the tail is on."""
+    seen = build_iofpta([_trace("a", ("x", "b"))] * 5000).root
+    tail = build_iofpta([_trace("a", ("y", "a"), ("x", "c"))]).root.children[("y", "a")]
+    assert tail.steps is not None and tail.label == "a"
+    assert 0.27 < 2 / math.e**2 < 0.28
+    for eps_al in (0.005, 0.05, 0.27):
+        assert compatible(seen, tail, eps_al)
+        assert compatible(tail, seen, eps_al)
+    for eps_al in (0.3, 0.5, 1.0):
+        assert not compatible(seen, tail, eps_al)
+        assert not compatible(tail, seen, eps_al)
+
+
 # ---------------------------------------------------------------------------
 # run_ioalergia
 # ---------------------------------------------------------------------------
+
+def _random_episodes(env, n, seed):
+    """Observation traces of n uniform-random-policy episodes of env."""
+    rng = random.Random(seed)
+    traces = []
+    for _ in range(n):
+        obs, _ = env.reset()
+        steps = []
+        done = False
+        while not done:
+            action = env.actions[rng.randrange(len(env.actions))]
+            new_obs, _, done = env.step(action)
+            steps.append((action, new_obs))
+        traces.append((obs, tuple(steps)))
+    return traces
+
+
+def _assert_sample_replays(traces, model):
+    mass = sum(c for counts in model.counts.values() for c in counts.values())
+    assert mass == sum(len(steps) for _, steps in traces)
+    for init, steps in traces:
+        assert model.label[model.initial] == init
+        tracker = reset_to_initial(model)
+        for action, obs in steps:
+            tracker = step_to(tracker, action, obs, model)
+        assert tracker.defined
+
+
+# sha256 of json.dumps(model_to_dict(model), sort_keys=True) for 300 random
+# episodes (env seed 7, policy seed 7), recorded with a learner that expanded
+# the whole prefix tree and compared nodes recursively.
+GOLDEN_MODELS = {
+    "thinmaze": {
+        0.005: "3688f0a2d898745be47e3857f64f4416584c1f47470f7538076e67d3911119ee",
+        0.05: "3699be869698eb71716c73a4cdef23bea7436144883abacf69972c49d102df95",
+        0.27: "8d493a813c2a9eb01ab0155b786a279b017c65e206b4b92244e807d6d2eb7f5f",
+        0.3: "2fce452b0b73ea21ba429b141aa829cf75c645be74ba01c56d47ff439536cbe7",
+        0.5: "2b93cd8c630249eb7a2471d2151bdd441e7bde690a8b5f909d100db58f479e79",
+        1.0: "12719e4bce49a8ad112998d4bd7a0248d74990ce9b1a91da67ac36cdaf735a05",
+    },
+    "gravity": {
+        0.005: "05c3489958ce580ad67e2c86dd62df5518cf7d01ada4f3d9e0dccdfe6403b77a",
+        0.05: "180d29b86e431ad8c165afafd627c6e7b820c3c31d7d7cd47f59370e7e12b4b2",
+        0.27: "2de8358a11fb3689c9a51c862b717e73142a8f69d86dd7ef6953623d4217e73f",
+        0.3: "2de8358a11fb3689c9a51c862b717e73142a8f69d86dd7ef6953623d4217e73f",
+        0.5: "d97b090a2dcb7a8793f47dcc3a00a5cace253b338acad545cb3cc1f8c80b2871",
+        1.0: "911620fce3db7311081823d3ad21fa3affc10f43d286d6ab323b28a5895655c2",
+    },
+    "hot_beverage": {
+        0.005: "00178cb5992af0a8a6b566f682f857fd8e38a0f7e544aabe22333363a728a912",
+        0.05: "00178cb5992af0a8a6b566f682f857fd8e38a0f7e544aabe22333363a728a912",
+        0.27: "00178cb5992af0a8a6b566f682f857fd8e38a0f7e544aabe22333363a728a912",
+        0.3: "00178cb5992af0a8a6b566f682f857fd8e38a0f7e544aabe22333363a728a912",
+        0.5: "10e8f164c1d981669350834bf958c7543c0cb527cf8f6a52b2eba4462bf41032",
+        1.0: "0d9ced067bd8369a8a5dd4c02d6e495fb45c0a2481103f87cc3f56ac6f406846",
+    },
+    "confusing_officeworld": {
+        0.005: "1295446210ebf4937b86d47a305edc930cb4e3e5af13e7355114cd2a2a44d49b",
+        0.05: "accbca543319120a8d2bf84cfe98326d8b25bd3270b1f71e82ba695e85756a7d",
+        0.27: "f54602b29fe12881a6c054dd1be272f8d356aa01ec6c88b2ca7daf334656456e",
+        0.3: "516dfd1c79a7c69ec8b01c0bca864c360dc05c6b12bd533eb63aab0213e4389f",
+        0.5: "d83bbcb1cbd65d860c4df3bc885014a498f142c963208d0191235ab09ac9b986",
+        1.0: "93119c8704dae2b3aca42bf2264ce52211aff7bc50fac1085451454881e93ae8",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MODELS))
+def test_learner_matches_golden_models(name):
+    traces = _random_episodes(make_environment(name, seed=7), 300, 7)
+    digests = {}
+    for eps_al in GOLDEN_MODELS[name]:
+        model = run_ioalergia(traces, LearnerConfig(eps_al=eps_al))
+        blob = json.dumps(model_to_dict(model), sort_keys=True).encode()
+        digests[eps_al] = hashlib.sha256(blob).hexdigest()
+    assert digests == GOLDEN_MODELS[name]
+
+
+def test_learner_handles_episodes_longer_than_the_recursion_limit():
+    env = make_environment("thinmaze", seed=1, max_steps=3000)
+    traces = _random_episodes(env, 50, 1)
+    longest = sorted(traces, key=lambda t: len(t[1]), reverse=True)
+    assert len(longest[0][1]) > 2000
+    # At eps_al=0.5 the six longest episodes already nest deeper than the
+    # interpreter's recursion limit; the full sample takes seconds.
+    for sample, eps_al in (
+        (traces, 0.05),
+        (longest[:6], 0.5),
+        ([longest[0]] * 3, 0.05),
+        ([longest[0]] * 3, 0.5),
+    ):
+        _assert_sample_replays(sample, run_ioalergia(sample, LearnerConfig(eps_al)))
 
 def _alternating_traces(n, length=6):
     steps = tuple(("go", "b" if i % 2 == 0 else "a") for i in range(length))
@@ -283,3 +420,39 @@ def test_learned_models_satisfy_label_determinism():
             traces.append(("a", steps))
         model = run_ioalergia(traces)
         assert not label_determinism_violations(model.label, model.trans)
+
+
+# ---------------------------------------------------------------------------
+# properties
+# ---------------------------------------------------------------------------
+
+_STEPS = st.tuples(st.sampled_from(["x", "y"]), st.sampled_from(["a", "b", "c"]))
+
+
+@st.composite
+def _samples(draw):
+    """Traces cut from a few shared bases and given random tails, so that
+    duplicates, shared prefixes and unique tails all occur."""
+    bases = draw(st.lists(st.lists(_STEPS, max_size=12), min_size=1, max_size=4))
+    traces = []
+    for _ in range(draw(st.integers(1, 30))):
+        base = draw(st.sampled_from(bases))
+        cut = draw(st.integers(0, len(base)))
+        traces.append(("a", tuple(base[:cut] + draw(st.lists(_STEPS, max_size=6)))))
+    return traces
+
+
+_EPS_AL = st.one_of(st.floats(0.001, 0.27), st.floats(0.28, 1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(traces=_samples())
+def test_iofpta_edge_mass_counts_every_step(traces):
+    tree = build_iofpta(traces)
+    assert tree.edge_mass() == sum(len(steps) for _, steps in traces)
+
+
+@settings(max_examples=100, deadline=None)
+@given(traces=_samples(), eps_al=_EPS_AL)
+def test_learned_model_conserves_mass_and_replays_its_sample(traces, eps_al):
+    _assert_sample_replays(traces, run_ioalergia(traces, LearnerConfig(eps_al)))
