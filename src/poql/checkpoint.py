@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -115,14 +116,46 @@ def qtable_rows(q: QTable) -> list[str]:
 def qtable_from_rows(lines: list[str], actions: tuple[str, ...]) -> QTable:
     q = QTable(actions)
     for line in lines:
+        _set_qtable_row(q, line)
+    return q
+
+
+def _set_qtable_row(q: QTable, line: str) -> None:
+    try:
         obs, state, flag, action, value = line.strip().split(",")
         if state == "-":
             key: object = obs
         else:
             key = ExtendedState(obs, int(state), _FLAG_BACK[flag])
-        row = q._rows.setdefault(key, [0.0] * len(actions))
-        row[q._index[action]] = float(value)
+        index = q._index[action]
+        number = float(value)
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"malformed Q-table row {line!r}") from exc
+    q._rows.setdefault(key, [0.0] * len(q.actions))[index] = number
+
+
+def _read_qtable(path: Path, text: str, actions: tuple[str, ...]) -> QTable:
+    q = QTable(actions)
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if line and not line.startswith("#"):
+            try:
+                _set_qtable_row(q, line)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return q
+
+
+@contextmanager
+def _loading(path: Path):
+    """Re-raise a failure to read or decode `path` as a ValueError naming it."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from exc
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror or exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_checkpoint(path, agent, exp_config: dict) -> None:
@@ -152,32 +185,38 @@ def save_checkpoint(path, agent, exp_config: dict) -> None:
 
 
 def load_checkpoint(path):
-    """Reload (agent, exp_config) from a checkpoint directory."""
+    """Reload (agent, exp_config) from a checkpoint directory.
+
+    Every failure to load raises ValueError whose message starts with the
+    offending file, and with its line for `qtable.txt` and `traces.txt`.
+    """
     out = Path(path)
-    try:
-        exp_config = json.loads((out / "config.json").read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"corrupt or missing checkpoint config: {exc}") from exc
-    agent_config = AgentConfig(**exp_config.get("agent_config", {}))
-    kind = exp_config["agent"]
-    qlines = [
-        line
-        for line in (out / "qtable.txt").read_text().splitlines()
-        if line and not line.startswith("#")
-    ]
+    config_path = out / "config.json"
+    with _loading(config_path):
+        exp_config = json.loads(config_path.read_text())
+        agent_config = AgentConfig(**exp_config.get("agent_config", {}))
+        kind = exp_config["agent"]
+    qtable_path = out / "qtable.txt"
+    with _loading(qtable_path):
+        qtable_text = qtable_path.read_text()
     if kind == "poql":
-        try:
-            model = model_from_dict(json.loads((out / "model.json").read_text()))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValueError(f"corrupt checkpoint model: {exc}") from exc
+        model_path = out / "model.json"
+        with _loading(model_path):
+            model = model_from_dict(json.loads(model_path.read_text()))
         actions = tuple(exp_config.get("actions") or model.actions)
-        agent = PoqlAgent(model, qtable_from_rows(qlines, actions), agent_config)
+        agent = PoqlAgent(model, _read_qtable(qtable_path, qtable_text, actions),
+                          agent_config)
     elif kind == "obs_baseline":
-        actions = tuple(exp_config["actions"])
-        agent = BaselineAgent(qtable_from_rows(qlines, actions), agent_config)
+        with _loading(config_path):
+            actions = tuple(exp_config["actions"])
+        agent = BaselineAgent(_read_qtable(qtable_path, qtable_text, actions),
+                              agent_config)
     else:
-        raise ValueError(f"cannot reload agent kind {kind!r}")
+        raise ValueError(f"{config_path}: cannot reload agent kind {kind!r}")
     traces_path = out / "traces.txt"
     if traces_path.exists():
-        agent.history = read_trace_file(traces_path)
+        try:
+            agent.history = read_trace_file(traces_path)
+        except OSError as exc:
+            raise ValueError(f"{traces_path}: {exc.strerror or exc}") from exc
     return agent, exp_config

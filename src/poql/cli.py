@@ -182,9 +182,14 @@ def cmd_eval(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    env_cfg = config["environment"]
-    env = make_environment(env_cfg["name"], seed=args.seed,
-                           **{k: v for k, v in env_cfg.items() if k != "name"})
+    try:
+        env_cfg = config["environment"]
+        env = make_environment(env_cfg["name"], seed=args.seed,
+                               **{k: v for k, v in env_cfg.items() if k != "name"})
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        config_path = Path(args.checkpoint) / "config.json"
+        print(f"error: {config_path}: invalid environment: {exc!r}", file=sys.stderr)
+        return 2
     stats = evaluate(agent, env, args.episodes, args.seed)
     print(json.dumps({
         "environment": env_cfg["name"],
@@ -221,7 +226,12 @@ def _compare_rows(run_dirs) -> list[dict]:
         row = {"run": str(d), "environment": "?", "agent": "?",
                "steps_to_goal": "", "episodes_to_stop": "", "status": "incomplete"}
         if meta_path.exists():
-            meta = json.loads(meta_path.read_text())
+            try:
+                meta = json.loads(meta_path.read_text())
+            except (OSError, ValueError) as exc:
+                raise ValueError(f"{meta_path}: {exc}") from exc
+            if not isinstance(meta, dict):
+                raise ValueError(f"{meta_path}: not a JSON object")
             row["environment"] = meta.get("environment", "?")
             row["agent"] = meta.get("agent", "?")
             if meta.get("status") == "complete" and (path / "run_record.csv").exists():
@@ -236,7 +246,11 @@ def _compare_rows(run_dirs) -> list[dict]:
 
 
 def cmd_compare(args) -> int:
-    rows = _compare_rows(args.run_dirs)
+    try:
+        rows = _compare_rows(args.run_dirs)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     columns = ("environment", "agent", "steps_to_goal", "episodes_to_stop", "status", "run")
     widths = {c: max(len(c), *(len(r[c]) for r in rows)) if rows else len(c) for c in columns}
     header = "  ".join(c.ljust(widths[c]) for c in columns)

@@ -11,6 +11,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import copysign
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 #: Tolerance used when asserting that a probability distribution sums to 1.
@@ -288,38 +289,104 @@ class RewardObservationTrace:
 ObsTrace = tuple[str, tuple[tuple[str, str], ...]]
 
 
-def format_trace(trace: RewardObservationTrace) -> str:
+def _format_step(action: str, reward: float, obs: str) -> str:
+    return f"{check_symbol(action)}:{float(reward)!r}:{check_symbol(obs)}"
+
+
+def format_trace(
+    trace: RewardObservationTrace, memo: dict[tuple, str] | None = None
+) -> str:
+    """Format one episode as a line of the trace file, without the newline.
+
+    `memo` maps step tuples to their formatted chunks, so a caller formatting
+    many episodes (`write_trace_file`) checks and formats each distinct step
+    once. A step whose reward is -0.0 bypasses it: -0.0 equals 0.0 and hashes
+    alike, but the two print differently. Rewards equal to the same float
+    otherwise print alike, so an int, Fraction or bool reward may share an
+    entry with that float.
+    """
+    if memo is None:
+        memo = {}
     parts = [f"{check_symbol(trace.initial_obs)}:{float(trace.initial_reward)!r}"]
-    for a, r, o in trace.steps:
-        parts.append(f"{check_symbol(a)}:{float(r)!r}:{check_symbol(o)}")
+    for step in trace.steps:
+        a, r, o = step
+        if r == 0 and copysign(1.0, r) < 0:
+            parts.append(_format_step(a, r, o))
+            continue
+        chunk = memo.get(step)
+        if chunk is None:
+            chunk = memo[step] = _format_step(a, r, o)
+        parts.append(chunk)
     return ";".join(parts)
 
 
-def parse_trace(line: str) -> RewardObservationTrace:
+def _parse_step(chunk: str) -> tuple[str, float, str]:
+    fields = chunk.split(":")
+    if len(fields) != 3:
+        raise ValueError(f"malformed trace step {chunk!r}")
+    return (check_symbol(fields[0]), float(fields[1]), check_symbol(fields[2]))
+
+
+def parse_trace(
+    line: str, memo: dict[str, tuple[str, float, str]] | None = None
+) -> RewardObservationTrace:
+    """Parse one line of the trace file into an episode.
+
+    `memo` maps `action:reward:obs` chunks to their parsed steps, so a caller
+    parsing many lines (`read_trace_file`) checks and converts each distinct
+    chunk once, and equal steps share one tuple. A chunk enters it only after
+    the full check. Distinct strings are distinct keys, so `-0.0` and `0.0`
+    never share an entry.
+    """
     chunks = line.strip().split(";")
     head = chunks[0].split(":")
     if len(head) != 2:
         raise ValueError(f"malformed trace head {chunks[0]!r}")
+    if memo is None:
+        memo = {}
     steps = []
     for chunk in chunks[1:]:
-        fields = chunk.split(":")
-        if len(fields) != 3:
-            raise ValueError(f"malformed trace step {chunk!r}")
-        steps.append((check_symbol(fields[0]), float(fields[1]), check_symbol(fields[2])))
+        step = memo.get(chunk)
+        if step is None:
+            step = memo[chunk] = _parse_step(chunk)
+        steps.append(step)
     return RewardObservationTrace(check_symbol(head[0]), float(head[1]), tuple(steps))
 
 
 def write_trace_file(traces: Iterable[RewardObservationTrace], path) -> None:
-    """Write one episode per line in the `obs:reward(;action:reward:obs)*` format."""
+    """Write one episode per line in the `obs:reward(;action:reward:obs)*` format.
+
+    Each distinct step is checked and formatted once per file (see
+    `format_trace`).
+    """
+    memo: dict[tuple, str] = {}
     with open(path, "w", encoding="ascii") as fh:
         for trace in traces:
-            fh.write(format_trace(trace))
+            fh.write(format_trace(trace, memo))
             fh.write("\n")
 
 
 def read_trace_file(path) -> list[RewardObservationTrace]:
-    with open(path, "r", encoding="ascii") as fh:
-        return [parse_trace(line) for line in fh if line.strip()]
+    """Read a trace file written by `write_trace_file`, skipping blank lines.
+
+    Each distinct step chunk is checked and converted once per file, and
+    equal steps share one tuple (see `parse_trace`). A malformed line raises
+    `ValueError` prefixed with `<path>:<line>:`; bytes that are not ASCII
+    raise `ValueError` prefixed with `<path>:`.
+    """
+    memo: dict[str, tuple[str, float, str]] = {}
+    traces = []
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if line.strip():
+                    try:
+                        traces.append(parse_trace(line, memo))
+                    except ValueError as exc:
+                        raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # raised while reading, ahead of any line
+        raise ValueError(f"{path}: {exc}") from exc
+    return traces
 
 
 def dlmdp_to_dot(

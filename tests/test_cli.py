@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -167,6 +168,83 @@ def test_compare_groups_and_flags_incomplete(beverage_run, tmp_path, capsys):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "environment,agent,steps_to_goal,episodes_to_stop,status,run"
     assert len(lines) == 3
+
+
+def test_compare_rejects_truncated_run_json(beverage_run, tmp_path, capsys):
+    outdir, _ = beverage_run
+    run = tmp_path / "truncated"
+    shutil.copytree(outdir, run)
+    meta = run / "run.json"
+    meta.write_text(meta.read_text()[:40])
+    assert main(["compare", str(outdir), str(run)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {meta}: ") and err.count("\n") == 1
+
+
+def _checkpoint_copy(beverage_run, tmp_path):
+    outdir, _ = beverage_run
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(outdir, ckpt)
+    return ckpt
+
+
+def _eval_error(ckpt, capsys) -> str:
+    """Run `poql eval` on a broken checkpoint; return its one stderr line."""
+    assert main(["eval", str(ckpt), "--episodes", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err[len("error: "):].rstrip("\n")
+
+
+def _replace_line(path, index, text):
+    lines = path.read_text().splitlines()
+    lines[index] = text
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_eval_reports_missing_qtable(beverage_run, tmp_path, capsys):
+    ckpt = _checkpoint_copy(beverage_run, tmp_path)
+    (ckpt / "qtable.txt").unlink()
+    assert _eval_error(ckpt, capsys) == f"{ckpt / 'qtable.txt'}: No such file or directory"
+
+
+def test_eval_reports_malformed_qtable_line(beverage_run, tmp_path, capsys):
+    ckpt = _checkpoint_copy(beverage_run, tmp_path)
+    _replace_line(ckpt / "qtable.txt", 2, "garbage line")
+    assert _eval_error(ckpt, capsys) == (
+        f"{ckpt / 'qtable.txt'}:3: malformed Q-table row 'garbage line'")
+
+
+def test_eval_reports_model_without_states(beverage_run, tmp_path, capsys):
+    ckpt = _checkpoint_copy(beverage_run, tmp_path)
+    model = json.loads((ckpt / "model.json").read_text())
+    del model["states"]
+    (ckpt / "model.json").write_text(json.dumps(model))
+    assert _eval_error(ckpt, capsys) == f"{ckpt / 'model.json'}: missing key 'states'"
+
+
+def test_eval_reports_config_without_agent(beverage_run, tmp_path, capsys):
+    ckpt = _checkpoint_copy(beverage_run, tmp_path)
+    config = json.loads((ckpt / "config.json").read_text())
+    del config["agent"]
+    (ckpt / "config.json").write_text(json.dumps(config))
+    assert _eval_error(ckpt, capsys) == f"{ckpt / 'config.json'}: missing key 'agent'"
+
+
+def test_eval_reports_config_without_environment(beverage_run, tmp_path, capsys):
+    ckpt = _checkpoint_copy(beverage_run, tmp_path)
+    config = json.loads((ckpt / "config.json").read_text())
+    del config["environment"]
+    (ckpt / "config.json").write_text(json.dumps(config))
+    assert _eval_error(ckpt, capsys).startswith(
+        f"{ckpt / 'config.json'}: invalid environment: ")
+
+
+def test_eval_reports_malformed_trace_line(beverage_run, tmp_path, capsys):
+    ckpt = _checkpoint_copy(beverage_run, tmp_path)
+    _replace_line(ckpt / "traces.txt", 4, "init:0.0;x:y")
+    assert _eval_error(ckpt, capsys) == (
+        f"{ckpt / 'traces.txt'}:5: malformed trace step 'x:y'")
 
 
 def test_compare_single_run(beverage_run, capsys):

@@ -1,4 +1,8 @@
+import re
+import tempfile
 from fractions import Fraction
+from math import copysign
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -172,6 +176,119 @@ def test_trace_rejects_bad_symbols():
         format_trace(RewardObservationTrace("a:b", 0.0, ()))
     with pytest.raises(ValueError):
         RewardObservationTrace("", 0.0, ())
+
+
+def test_read_trace_file_names_the_bad_line(tmp_path):
+    path = tmp_path / "traces.txt"
+    path.write_text("a:0.0;go:1.0:b\n\na:0.0;x:y\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: malformed trace step 'x:y'$"):
+        read_trace_file(path)
+    path.write_text("a:0.0\na:0.0;go:1.0:b c\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: invalid symbol 'b c'"):
+        read_trace_file(path)
+    path.write_bytes(b"a:0.0;go:1.0:\xff\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: 'ascii' codec"):
+        read_trace_file(path)
+
+
+def test_read_trace_file_shares_equal_steps(tmp_path):
+    path = tmp_path / "traces.txt"
+    path.write_text("a:0.0;go:1.0:b;go:1.0:b\na:0.0;go:1.0:b\n")
+    first, second = read_trace_file(path)
+    assert first.steps[0] is first.steps[1] is second.steps[0]
+
+
+def test_trace_file_keeps_the_sign_of_zero(tmp_path):
+    path = tmp_path / "traces.txt"
+    for x, y in ((0.0, -0.0), (-0.0, 0.0)):
+        traces = [
+            RewardObservationTrace("s", x, (("a", x, "o"), ("a", y, "o"))),
+            RewardObservationTrace("s", y, (("a", y, "o"), ("a", x, "o"))),
+        ]
+        write_trace_file(traces, path)
+        assert path.read_text() == (
+            f"s:{x!r};a:{x!r}:o;a:{y!r}:o\ns:{y!r};a:{y!r}:o;a:{x!r}:o\n")
+        back = read_trace_file(path)
+        assert [repr(r) for t in back for r in t.rewards()] == [
+            repr(x), repr(x), repr(y), repr(y), repr(y), repr(x)]
+
+
+_SYMBOL_CHARS = "".join(c for c in map(chr, range(33, 127)) if c not in ";:,|")
+_symbols = st.text(alphabet=_SYMBOL_CHARS, min_size=1, max_size=3)
+_rewards = st.one_of(
+    st.sampled_from([0.0, -0.0, 0, 1, -7, True, Fraction(1, 4), 5e-324, -5e-324,
+                     1e-300, 1e300, -1.7976931348623157e308]),
+    st.floats(),
+    st.integers(-10**6, 10**6),
+)
+
+
+@st.composite
+def _trace_lists(draw):
+    """Episodes over a small pool of steps, so that most steps repeat.
+
+    Every zero-reward step also enters the pool with the zero of the other
+    sign: the two compare equal but print differently.
+    """
+    pool = draw(st.lists(st.tuples(_symbols, _rewards, _symbols), min_size=1, max_size=6))
+    pool += [(a, -copysign(0.0, r), o) for a, r, o in pool if r == 0]
+    steps = st.lists(st.sampled_from(pool), max_size=8).map(tuple)
+    return draw(st.lists(st.builds(RewardObservationTrace, _symbols, _rewards, steps),
+                         max_size=6))
+
+
+def _plain_line(trace) -> str:
+    """The trace file line of one episode, spelled out without the codec."""
+    head = f"{trace.initial_obs}:{float(trace.initial_reward)!r}"
+    return ";".join([head, *(f"{a}:{float(r)!r}:{o}" for a, r, o in trace.steps)])
+
+
+def _reprs(trace):
+    return (trace.initial_obs, repr(float(trace.initial_reward)),
+            [(a, repr(float(r)), o) for a, r, o in trace.steps])
+
+
+@given(_trace_lists())
+def test_trace_file_roundtrip_property(traces):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "traces.txt"
+        write_trace_file(traces, path)
+        text = path.read_text()
+        back = read_trace_file(path)
+    assert text == "".join(format_trace(t) + "\n" for t in traces)
+    assert text == "".join(_plain_line(t) + "\n" for t in traces)
+    assert [_reprs(t) for t in back] == [_reprs(t) for t in traces]
+
+
+_bad_symbols = st.sampled_from(["a b", "a|b", "a,b", "\tx", "", "x;y", "p:q"])
+
+
+@given(_trace_lists(), st.data())
+def test_trace_codec_rejects_a_bad_symbol_wherever_it_first_appears(traces, data):
+    traces = [t for t in traces if t.steps]
+    if not traces:
+        return
+    i = data.draw(st.integers(0, len(traces) - 1))
+    j = data.draw(st.integers(0, len(traces[i].steps) - 1))
+    field = data.draw(st.sampled_from([0, 2]))
+    bad = data.draw(_bad_symbols)
+    step = list(traces[i].steps[j])
+    step[field] = bad
+    steps = list(traces[i].steps)
+    steps[j] = tuple(step)
+    broken = RewardObservationTrace(traces[i].initial_obs, traces[i].initial_reward,
+                                    tuple(steps))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "traces.txt"
+        with pytest.raises(ValueError):
+            write_trace_file([*traces[:i], broken, *traces[i:]], path)
+        if bad and not set(bad) & set(";:\n"):
+            # The same line in a file that the writer would refuse.
+            lines = [_plain_line(t) for t in traces]
+            lines.insert(i, _plain_line(broken))
+            path.write_text("".join(line + "\n" for line in lines))
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{i + 1}: invalid symbol"):
+                read_trace_file(path)
 
 
 # ---------------------------------------------------------------------------
