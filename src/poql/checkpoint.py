@@ -114,34 +114,25 @@ def qtable_rows(q: QTable) -> list[str]:
 
 
 def qtable_from_rows(lines: list[str], actions: tuple[str, ...]) -> QTable:
+    """Rebuild a Q-table from `qtable.txt` lines; blank and `#` lines are skipped.
+
+    A malformed row raises ValueError prefixed with its 1-based line number.
+    """
     q = QTable(actions)
-    for line in lines:
-        _set_qtable_row(q, line)
-    return q
-
-
-def _set_qtable_row(q: QTable, line: str) -> None:
-    try:
-        obs, state, flag, action, value = line.strip().split(",")
-        if state == "-":
-            key: object = obs
-        else:
-            key = ExtendedState(obs, int(state), _FLAG_BACK[flag])
-        index = q._index[action]
-        number = float(value)
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"malformed Q-table row {line!r}") from exc
-    q._rows.setdefault(key, [0.0] * len(q.actions))[index] = number
-
-
-def _read_qtable(path: Path, text: str, actions: tuple[str, ...]) -> QTable:
-    q = QTable(actions)
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if line and not line.startswith("#"):
-            try:
-                _set_qtable_row(q, line)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, line in enumerate(lines, 1):
+        if not line or line.startswith("#"):
+            continue
+        try:
+            obs, state, flag, action, value = line.strip().split(",")
+            if state == "-":
+                key: object = obs
+            else:
+                key = ExtendedState(obs, int(state), _FLAG_BACK[flag])
+            index = q._index[action]
+            number = float(value)
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"{lineno}: malformed Q-table row {line!r}") from exc
+        q._rows.setdefault(key, [0.0] * len(actions))[index] = number
     return q
 
 
@@ -198,21 +189,27 @@ def load_checkpoint(path):
         kind = exp_config["agent"]
     qtable_path = out / "qtable.txt"
     with _loading(qtable_path):
-        qtable_text = qtable_path.read_text()
+        qtable_lines = qtable_path.read_text().splitlines()
     if kind == "poql":
         model_path = out / "model.json"
         with _loading(model_path):
             model = model_from_dict(json.loads(model_path.read_text()))
-        actions = tuple(exp_config.get("actions") or model.actions)
-        agent = PoqlAgent(model, _read_qtable(qtable_path, qtable_text, actions),
-                          agent_config)
+        with _loading(config_path):
+            actions = tuple(exp_config.get("actions") or model.actions)
     elif kind == "obs_baseline":
+        model = None
         with _loading(config_path):
             actions = tuple(exp_config["actions"])
-        agent = BaselineAgent(_read_qtable(qtable_path, qtable_text, actions),
-                              agent_config)
     else:
         raise ValueError(f"{config_path}: cannot reload agent kind {kind!r}")
+    try:
+        q = qtable_from_rows(qtable_lines, actions)
+    except ValueError as exc:
+        raise ValueError(f"{qtable_path}:{exc}") from exc
+    if model is not None:
+        agent = PoqlAgent(model, q, agent_config)
+    else:
+        agent = BaselineAgent(q, agent_config)
     traces_path = out / "traces.txt"
     if traces_path.exists():
         try:

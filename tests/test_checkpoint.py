@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from poql.beliefs import build_belief_mdp
 from poql.checkpoint import (
     config_hash,
@@ -39,6 +41,13 @@ def test_qtable_rows_roundtrip_exact_floats():
     assert all(len(r.split(",")) == 5 for r in rows)
     back = qtable_from_rows(rows, ("coin", "button"))
     assert back._rows == q._rows
+
+
+def test_qtable_from_rows_skips_comments_and_numbers_bad_rows():
+    rows = ["# config_hash=0", "", "rawobs,-,-,coin,3.0", "rawobs,-,-,tea,1.0"]
+    with pytest.raises(ValueError, match=r"^4: malformed Q-table row 'rawobs,-,-,tea,1.0'$"):
+        qtable_from_rows(rows, ("coin", "button"))
+    assert qtable_from_rows(rows[:3], ("coin", "button"))._rows == {"rawobs": [3.0, 0.0]}
 
 
 def test_config_hash_ignores_output_dir_only():

@@ -231,6 +231,14 @@ def test_eval_reports_config_without_agent(beverage_run, tmp_path, capsys):
     assert _eval_error(ckpt, capsys) == f"{ckpt / 'config.json'}: missing key 'agent'"
 
 
+def test_eval_reports_config_with_non_list_actions(beverage_run, tmp_path, capsys):
+    ckpt = _checkpoint_copy(beverage_run, tmp_path)
+    config = json.loads((ckpt / "config.json").read_text())
+    config["actions"] = 5
+    (ckpt / "config.json").write_text(json.dumps(config))
+    assert _eval_error(ckpt, capsys).startswith(f"{ckpt / 'config.json'}: ")
+
+
 def test_eval_reports_config_without_environment(beverage_run, tmp_path, capsys):
     ckpt = _checkpoint_copy(beverage_run, tmp_path)
     config = json.loads((ckpt / "config.json").read_text())
