@@ -14,6 +14,7 @@ from .agent import (
     evaluate,
     get_action,
     replay,
+    run_episode,
     train,
     update_q_values,
 )
@@ -26,7 +27,6 @@ from .beliefs import (
     build_belief_mdp,
     observation_probability,
     optimal_expected_steps,
-    policy_expected_steps,
     value_iteration,
 )
 from .envs import (

@@ -7,6 +7,9 @@ is relearned from the full episode history, the Q-table is reinitialized over
 the grown state space, and all stored episodes are replayed into it; after
 the freeze point the model stays fixed and only Q-values keep improving.
 
+Every episode, whether training, random bootstrap or greedy evaluation, is
+played by `run_episode`; agents differ only in how they key the Q-table.
+
 A training run is strictly sequential; runs with distinct seeds share nothing.
 """
 
@@ -151,6 +154,11 @@ class AgentConfig:
             raise ValueError("freeze_after cannot exceed max_episodes")
         if self.bootstrap_episodes < 1:
             raise ValueError("bootstrap_episodes must be at least 1")
+        if self.eval_every < 1:
+            raise ValueError("eval_every must be at least 1")
+        if self.eval_episodes < 1:
+            raise ValueError("eval_episodes must be at least 1")
+        LearnerConfig(eps_al=self.eps_al)  # raises on an eps_al outside (0, 1]
 
     def resolved_freeze_after(self) -> int:
         if self.freeze_after is not None:
@@ -179,44 +187,15 @@ def round_steps(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-class PoqlAgent:
-    """Trained artifact: learned model, extended Q-table, and run history."""
+class TabularAgent:
+    """A Q-learner's state: Q-table, episode history and evaluation rows.
 
-    def __init__(self, model: DeterministicLabeledMdp, q: QTable, config: AgentConfig):
-        self.model = model
-        self.q = q
-        self.config = config
-        self.actions = q.actions
-        self.gamma = config.gamma
-        self.history: list[RewardObservationTrace] = []
-        self.relearn_episodes: list[int] = []
-        self.eval_rows: list[dict] = []
-        self.episodes_trained = 0
-        self.stop_episode: int | None = None
-        self._tracker: TrackerState | None = None
-        self._obs: str | None = None
+    Subclasses map observations to Q-table keys through the episode protocol
+    of `run_episode`: begin_episode(obs) -> key, choose(key, epsilon, rng) ->
+    action, observe(action, obs) -> key.
+    """
 
-    @property
-    def kind(self) -> str:
-        return "poql"
-
-    def extended_state(self) -> ExtendedState:
-        return ExtendedState(self._obs, self._tracker.state, self._tracker.defined)
-
-    def begin_episode(self, initial_obs: str) -> None:
-        self._tracker = reset_to_initial(self.model)
-        self._obs = initial_obs
-
-    def greedy_action(self, rng: random.Random) -> str:
-        return get_action(self.q, self.extended_state(), 0.0, self.actions, rng)
-
-    def observe(self, action: str, obs: str) -> None:
-        self._tracker = step_to(self._tracker, action, obs, self.model)
-        self._obs = obs
-
-
-class BaselineAgent:
-    """Observation-only Q-learner; identical loop, no model and no tracker."""
+    model: DeterministicLabeledMdp | None = None
 
     def __init__(self, q: QTable, config: AgentConfig):
         self.q = q
@@ -227,39 +206,83 @@ class BaselineAgent:
         self.eval_rows: list[dict] = []
         self.episodes_trained = 0
         self.stop_episode: int | None = None
-        self.model = None
-        self._obs: str | None = None
 
-    @property
-    def kind(self) -> str:
-        return "obs_baseline"
+    def choose(self, key, epsilon: float, rng: random.Random) -> str:
+        return get_action(self.q, key, epsilon, self.actions, rng)
 
-    def begin_episode(self, initial_obs: str) -> None:
-        self._obs = initial_obs
+    def relearn(self, episode: int, log: Callable[[str], None] | None) -> None:
+        """Called after every training episode; only a model-based agent acts."""
 
-    def greedy_action(self, rng: random.Random) -> str:
-        return get_action(self.q, self._obs, 0.0, self.actions, rng)
 
-    def observe(self, action: str, obs: str) -> None:
-        self._obs = obs
+class PoqlAgent(TabularAgent):
+    """Trained artifact: learned model, extended Q-table, and run history.
+
+    The key is the extended state: the observation plus the tracker's
+    (state, defined) pair on the learned model.
+    """
+
+    kind = "poql"
+
+    def __init__(self, model: DeterministicLabeledMdp, q: QTable, config: AgentConfig):
+        super().__init__(q, config)
+        self.model = model
+        self.relearn_episodes: list[int] = []
+        self._tracker: TrackerState | None = None
+
+    def begin_episode(self, obs: str) -> ExtendedState:
+        tracker = self._tracker = reset_to_initial(self.model)
+        return ExtendedState(obs, tracker.state, tracker.defined)
+
+    def observe(self, action: str, obs: str) -> ExtendedState:
+        tracker = self._tracker = step_to(self._tracker, action, obs, self.model)
+        return ExtendedState(obs, tracker.state, tracker.defined)
+
+    def relearn(self, episode: int, log: Callable[[str], None] | None) -> None:
+        """Every update_interval episodes before the freeze point, relearn the
+        model from the full history and replay the history into a fresh Q-table."""
+        config = self.config
+        if episode >= config.resolved_freeze_after() or episode % config.update_interval:
+            return
+        self.model = _learn_model(self.history, config)
+        self.relearn_episodes.append(episode)
+        self.q = QTable(self.actions)
+        replay(self.q, self.model, self.history, config.alpha, config.gamma)
+        if log:
+            log(
+                f"episode {episode}: relearned model with "
+                f"{len(self.model.states)} states from {len(self.history)} traces"
+            )
+
+
+class BaselineAgent(TabularAgent):
+    """Observation-only Q-learner: the raw observation is the key."""
+
+    kind = "obs_baseline"
+
+    def begin_episode(self, obs: str) -> str:
+        return obs
+
+    def observe(self, action: str, obs: str) -> str:
+        return obs
 
 
 class RandomAgent:
-    """Uniform-random policy, for floors and sanity checks."""
+    """Uniform-random policy, for floors, sanity checks and bootstrap episodes."""
+
+    kind = "random"
 
     def __init__(self, actions: Sequence[str], gamma: float = 0.99):
         self.actions = tuple(actions)
         self.gamma = gamma
-        self.kind = "random"
 
-    def begin_episode(self, initial_obs: str) -> None:
-        pass
+    def begin_episode(self, obs: str) -> None:
+        return None
 
-    def greedy_action(self, rng: random.Random) -> str:
+    def choose(self, key, epsilon: float, rng: random.Random) -> str:
         return self.actions[rng.randrange(len(self.actions))]
 
     def observe(self, action: str, obs: str) -> None:
-        pass
+        return None
 
 
 class RepeatActionAgent:
@@ -270,14 +293,46 @@ class RepeatActionAgent:
         self.gamma = gamma
         self.kind = f"repeat_{action}"
 
-    def begin_episode(self, initial_obs: str) -> None:
-        pass
+    def begin_episode(self, obs: str) -> None:
+        return None
 
-    def greedy_action(self, rng: random.Random) -> str:
+    def choose(self, key, epsilon: float, rng: random.Random) -> str:
         return self.action
 
     def observe(self, action: str, obs: str) -> None:
-        pass
+        return None
+
+
+def run_episode(
+    env: Environment,
+    agent,
+    rng: random.Random,
+    epsilon: float = 0.0,
+    learn: tuple[float, float] | None = None,
+) -> tuple[str, float, tuple[tuple[str, float, str], ...]]:
+    """Play one episode and return (initial obs, initial reward, steps).
+
+    Each step the agent chooses an action for its current key, the
+    environment steps, and the agent maps the new observation to the next
+    key. With learn=(alpha, gamma) every step also backs up agent.q. The
+    result unpacks into a RewardObservationTrace.
+    """
+    obs, reward = env.reset()
+    key = agent.begin_episode(obs)
+    if learn is not None:
+        q = agent.q
+        alpha, gamma = learn
+    steps = []
+    done = False
+    while not done:
+        action = agent.choose(key, epsilon, rng)
+        new_obs, r, done = env.step(action)
+        nxt = agent.observe(action, new_obs)
+        if learn is not None:
+            update_q_values(q, key, action, r, nxt, alpha, gamma)
+        steps.append((action, r, new_obs))
+        key = nxt
+    return obs, reward, tuple(steps)
 
 
 def evaluate(agent, env: Environment, n_episodes: int, seed: int | str) -> EvalStats:
@@ -290,23 +345,15 @@ def evaluate(agent, env: Environment, n_episodes: int, seed: int | str) -> EvalS
         raise ValueError("n_episodes must be at least 1")
     env.reseed(f"{seed}|env")
     rng = random.Random(f"{seed}|ties")
-    successes = 0
     success_steps: list[int] = []
     returns: list[float] = []
     for _ in range(n_episodes):
-        obs, reward = env.reset()
-        agent.begin_episode(obs)
-        rewards = [reward]
-        done = False
-        while not done:
-            action = agent.greedy_action(rng)
-            obs, reward, done = env.step(action)
-            agent.observe(action, obs)
-            rewards.append(reward)
+        _, reward, steps = run_episode(env, agent, rng)
         if env.goal_reached:
-            successes += 1
             success_steps.append(env.step_count)
+        rewards = [reward] + [r for _, r, _ in steps]
         returns.append(discounted_return(rewards, 0, agent.gamma))
+    successes = len(success_steps)
     exact = sum(success_steps) / successes if successes else None
     return EvalStats(
         goal_rate=successes / n_episodes,
@@ -314,23 +361,6 @@ def evaluate(agent, env: Environment, n_episodes: int, seed: int | str) -> EvalS
         mean_return=sum(returns) / n_episodes,
         mean_steps_exact=exact,
     )
-
-
-def _bootstrap_history(
-    env: Environment, episodes: int, rng: random.Random
-) -> list[RewardObservationTrace]:
-    history = []
-    actions = env.actions
-    for _ in range(episodes):
-        obs, reward = env.reset()
-        steps = []
-        done = False
-        while not done:
-            action = actions[rng.randrange(len(actions))]
-            new_obs, r, done = env.step(action)
-            steps.append((action, r, new_obs))
-        history.append(RewardObservationTrace(obs, reward, tuple(steps)))
-    return history
 
 
 def _stop_reached(stats: EvalStats, config: AgentConfig) -> bool:
@@ -341,6 +371,48 @@ def _stop_reached(stats: EvalStats, config: AgentConfig) -> bool:
             return False
         return stats.mean_steps <= round_steps(config.oracle_steps)
     return True
+
+
+def _learn_model(
+    history: list[RewardObservationTrace], config: AgentConfig
+) -> DeterministicLabeledMdp:
+    return run_ioalergia(
+        [t.observation_part() for t in history], LearnerConfig(eps_al=config.eps_al)
+    )
+
+
+def _train_loop(
+    env: Environment,
+    agent: TabularAgent,
+    rng: random.Random,
+    seed: int | str,
+    log: Callable[[str], None] | None,
+) -> TabularAgent:
+    """Epsilon-greedy episodes with periodic relearning and greedy evaluation,
+    until max_episodes or until an evaluation meets the stop target."""
+    config = agent.config
+    learn = (config.alpha, config.gamma)
+    for episode in range(config.max_episodes):
+        trace = run_episode(env, agent, rng, config.epsilon_at(episode), learn)
+        agent.history.append(RewardObservationTrace(*trace))
+        agent.episodes_trained = episode + 1
+        agent.relearn(episode, log)
+
+        if (episode + 1) % config.eval_every == 0 or episode + 1 == config.max_episodes:
+            stats = evaluate(agent, env, config.eval_episodes, f"{seed}|eval|{episode}")
+            agent.eval_rows.append(_eval_row(episode + 1, stats, agent))
+            if log:
+                states = f" states={len(agent.model.states)}" if agent.model else ""
+                log(
+                    f"episode {episode + 1}: goal_rate={stats.goal_rate:.2f} "
+                    f"mean_steps={stats.mean_steps}{states}"
+                )
+            if _stop_reached(stats, config):
+                agent.stop_episode = episode + 1
+                break
+    if agent.stop_episode is None:
+        agent.stop_episode = agent.episodes_trained
+    return agent
 
 
 def train(
@@ -359,61 +431,14 @@ def train(
     configured target.
     """
     rng = random.Random(f"{seed}|agent")
-    learner = LearnerConfig(eps_al=config.eps_al)
-    freeze_after = config.resolved_freeze_after()
-    alpha, gamma = config.alpha, config.gamma
-
-    history = _bootstrap_history(env, config.bootstrap_episodes, rng)
-    model = run_ioalergia([t.observation_part() for t in history], learner)
-    agent = PoqlAgent(model, QTable(env.actions), config)
+    explorer = RandomAgent(env.actions)
+    history = [
+        RewardObservationTrace(*run_episode(env, explorer, rng))
+        for _ in range(config.bootstrap_episodes)
+    ]
+    agent = PoqlAgent(_learn_model(history, config), QTable(env.actions), config)
     agent.history = history
-
-    actions = env.actions
-    for episode in range(config.max_episodes):
-        epsilon = config.epsilon_at(episode)
-        obs, reward = env.reset()
-        tracker = reset_to_initial(agent.model)
-        ext = ExtendedState(obs, tracker.state, tracker.defined)
-        steps = []
-        done = False
-        while not done:
-            action = get_action(agent.q, ext, epsilon, actions, rng)
-            new_obs, r, done = env.step(action)
-            tracker = step_to(tracker, action, new_obs, agent.model)
-            nxt = ExtendedState(new_obs, tracker.state, tracker.defined)
-            update_q_values(agent.q, ext, action, r, nxt, alpha, gamma)
-            steps.append((action, r, new_obs))
-            ext = nxt
-        agent.history.append(RewardObservationTrace(obs, reward, tuple(steps)))
-        agent.episodes_trained = episode + 1
-
-        if episode < freeze_after and episode % config.update_interval == 0:
-            agent.model = run_ioalergia(
-                [t.observation_part() for t in agent.history], learner
-            )
-            agent.relearn_episodes.append(episode)
-            agent.q = QTable(actions)
-            replay(agent.q, agent.model, agent.history, alpha, gamma)
-            if log:
-                log(
-                    f"episode {episode}: relearned model with "
-                    f"{len(agent.model.states)} states from {len(agent.history)} traces"
-                )
-
-        if (episode + 1) % config.eval_every == 0 or episode + 1 == config.max_episodes:
-            stats = evaluate(agent, env, config.eval_episodes, f"{seed}|eval|{episode}")
-            agent.eval_rows.append(_eval_row(episode + 1, stats, agent))
-            if log:
-                log(
-                    f"episode {episode + 1}: goal_rate={stats.goal_rate:.2f} "
-                    f"mean_steps={stats.mean_steps} states={len(agent.model.states)}"
-                )
-            if _stop_reached(stats, config):
-                agent.stop_episode = episode + 1
-                break
-    if agent.stop_episode is None:
-        agent.stop_episode = agent.episodes_trained
-    return agent
+    return _train_loop(env, agent, rng, seed, log)
 
 
 def baseline_obs_q(
@@ -425,47 +450,17 @@ def baseline_obs_q(
     """Train the observation-only baseline: the same loop keyed by raw
     observations, with no learned model, tracker, or replay."""
     rng = random.Random(f"{seed}|agent")
-    agent = BaselineAgent(QTable(env.actions), config)
-    alpha, gamma = config.alpha, config.gamma
-    actions = env.actions
-    for episode in range(config.max_episodes):
-        epsilon = config.epsilon_at(episode)
-        obs, reward = env.reset()
-        initial_obs, initial_reward = obs, reward
-        steps = []
-        done = False
-        while not done:
-            action = get_action(agent.q, obs, epsilon, actions, rng)
-            new_obs, r, done = env.step(action)
-            update_q_values(agent.q, obs, action, r, new_obs, alpha, gamma)
-            steps.append((action, r, new_obs))
-            obs = new_obs
-        agent.history.append(
-            RewardObservationTrace(initial_obs, initial_reward, tuple(steps))
-        )
-        agent.episodes_trained = episode + 1
-        if (episode + 1) % config.eval_every == 0 or episode + 1 == config.max_episodes:
-            stats = evaluate(agent, env, config.eval_episodes, f"{seed}|eval|{episode}")
-            agent.eval_rows.append(_eval_row(episode + 1, stats, agent))
-            if log:
-                log(
-                    f"episode {episode + 1}: goal_rate={stats.goal_rate:.2f} "
-                    f"mean_steps={stats.mean_steps}"
-                )
-            if _stop_reached(stats, config):
-                agent.stop_episode = episode + 1
-                break
-    if agent.stop_episode is None:
-        agent.stop_episode = agent.episodes_trained
-    return agent
+    return _train_loop(env, BaselineAgent(QTable(env.actions), config), rng, seed, log)
 
 
 def _eval_row(episode: int, stats: EvalStats, agent) -> dict:
+    """One run_record.csv row; a fixed policy has neither model nor Q-table."""
+    model = getattr(agent, "model", None)
     return {
         "episode": episode,
         "goal_rate": stats.goal_rate,
         "mean_steps": stats.mean_steps,
         "mean_return": stats.mean_return,
-        "model_state_count": len(agent.model.states) if agent.model else 0,
-        "q_rows": len(agent.q),
+        "model_state_count": len(model.states) if model else 0,
+        "q_rows": len(getattr(agent, "q", ())),
     }

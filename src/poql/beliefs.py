@@ -221,19 +221,20 @@ def value_iteration(
     reward = reward_fn if callable(reward_fn) else lambda s: reward_fn.get(s, 0.0)
     values = {s: 0.0 for s in mdp.states}
     live = [s for s in mdp.states if s not in terminal_states]
+
+    def backup(s: int, a: str) -> float:
+        total = 0.0
+        for succ, p in mdp.distribution(s, a).items():
+            fp = float(p)
+            total += fp * reward(succ)
+            if succ not in terminal_states:
+                total += fp * gamma * values[succ]
+        return total
+
     while True:
         residual = 0.0
         for s in live:
-            best = None
-            for a in mdp.actions:
-                total = 0.0
-                for succ, p in mdp.distribution(s, a).items():
-                    fp = float(p)
-                    total += fp * reward(succ)
-                    if succ not in terminal_states:
-                        total += fp * gamma * values[succ]
-                if best is None or total > best:
-                    best = total
+            best = max(backup(s, a) for a in mdp.actions)
             residual = max(residual, abs(best - values[s]))
             values[s] = best
         if residual < tol:
@@ -242,12 +243,7 @@ def value_iteration(
     for s in live:
         best_a, best_v = None, None
         for a in mdp.actions:
-            total = 0.0
-            for succ, p in mdp.distribution(s, a).items():
-                fp = float(p)
-                total += fp * reward(succ)
-                if succ not in terminal_states:
-                    total += fp * gamma * values[succ]
+            total = backup(s, a)
             if best_v is None or total > best_v + 1e-12:
                 best_a, best_v = a, total
         policy[s] = best_a
@@ -282,30 +278,6 @@ def optimal_expected_steps(
                     best = total
             residual = max(residual, abs(best - steps[s]))
             steps[s] = best
-        if residual < tol:
-            break
-    return steps
-
-
-def policy_expected_steps(
-    mdp: Mdp,
-    policy: Mapping[int, str],
-    goal_states: frozenset[int] | set[int],
-    tol: float = 1e-10,
-    max_iter: int = 1_000_000,
-) -> dict[int, float]:
-    """Expected steps to goal under a fixed policy (same fixpoint iteration)."""
-    steps = {s: 0.0 for s in mdp.states}
-    live = [s for s in mdp.states if s not in goal_states and s in policy]
-    for _ in range(max_iter):
-        residual = 0.0
-        for s in live:
-            total = 1.0
-            for succ, p in mdp.distribution(s, policy[s]).items():
-                if succ not in goal_states:
-                    total += float(p) * steps[succ]
-            residual = max(residual, abs(total - steps[s]))
-            steps[s] = total
         if residual < tol:
             break
     return steps

@@ -23,7 +23,7 @@ import sys
 import time
 from pathlib import Path
 
-from .agent import AgentConfig, RandomAgent, baseline_obs_q, evaluate, train
+from .agent import AgentConfig, RandomAgent, _eval_row, baseline_obs_q, evaluate, train
 from .checkpoint import config_hash, load_checkpoint, model_from_dict, save_checkpoint
 from .envs import ENVIRONMENT_NAMES, make_environment
 from .models import dlmdp_to_dot
@@ -136,33 +136,24 @@ def cmd_train(args) -> int:
 
     started = time.perf_counter()
     log = print if not args.quiet else None
-    if config["agent"] == "poql":
-        agent = train(env, agent_config, seed=config["seed"], log=log)
-    elif config["agent"] == "obs_baseline":
-        agent = baseline_obs_q(env, agent_config, seed=config["seed"], log=log)
+    if config["agent"] == "random":
+        policy = RandomAgent(env.actions, gamma=agent_config.gamma)
+        stats = evaluate(policy, env, agent_config.eval_episodes, f"{config['seed']}|eval")
+        agent, eval_rows, stop_episode = None, [_eval_row(0, stats, policy)], 0
     else:
-        agent = RandomAgent(env.actions, gamma=agent_config.gamma)
-        stats = evaluate(agent, env, agent_config.eval_episodes, f"{config['seed']}|eval")
-        agent.eval_rows = [{
-            "episode": 0,
-            "goal_rate": stats.goal_rate,
-            "mean_steps": stats.mean_steps,
-            "mean_return": stats.mean_return,
-            "model_state_count": 0,
-            "q_rows": 0,
-        }]
-        agent.stop_episode = 0
-        agent.history = []
+        trainer = train if config["agent"] == "poql" else baseline_obs_q
+        agent = trainer(env, agent_config, seed=config["seed"], log=log)
+        eval_rows, stop_episode = agent.eval_rows, agent.stop_episode
     wall_time = time.perf_counter() - started
 
-    if config["agent"] != "random":
+    if agent is not None:
         save_checkpoint(out, agent, config)
-    _write_run_record(out / "run_record.csv", agent.eval_rows, digest)
-    final = agent.eval_rows[-1] if agent.eval_rows else {}
+    _write_run_record(out / "run_record.csv", eval_rows, digest)
+    final = eval_rows[-1] if eval_rows else {}
     run_meta.update(
         status="complete",
         config_hash=digest,
-        stop_episode=agent.stop_episode,
+        stop_episode=stop_episode,
         wall_time_s=wall_time,
         final={
             "goal_rate": final.get("goal_rate"),

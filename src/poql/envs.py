@@ -13,6 +13,7 @@ concurrently.
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -425,6 +426,26 @@ def fully_observable(pomdp: Pomdp) -> Pomdp:
     )
 
 
+def _cumulative_samplers(
+    mdp: Mdp,
+) -> dict[tuple[int, str], tuple[tuple[float, ...], tuple[int, ...]]]:
+    """Per (state, action): cumulative successor probabilities, the last
+    pinned to 1.0, and the successors in sorted order. The successor for a
+    uniform draw r is the first whose cumulative probability exceeds r."""
+    samplers = {}
+    for key, dist in mdp.delta.items():
+        cum: list[float] = []
+        succs: list[int] = []
+        acc = 0.0
+        for succ, p in sorted(dist.items()):
+            acc += float(p)
+            cum.append(acc)
+            succs.append(succ)
+        cum[-1] = 1.0
+        samplers[key] = (tuple(cum), tuple(succs))
+    return samplers
+
+
 class EpisodeProtocolError(RuntimeError):
     """step() was called on a finished episode."""
 
@@ -452,17 +473,7 @@ class Environment:
         self.max_steps = max_steps
         self.actions = pomdp.mdp.actions
         self.observations = pomdp.observations
-        self._samplers: dict[tuple[int, str], tuple[tuple[float, ...], tuple[int, ...]]] = {}
-        for key, dist in pomdp.mdp.delta.items():
-            cum: list[float] = []
-            succs: list[int] = []
-            acc = 0.0
-            for succ, p in sorted(dist.items()):
-                acc += float(p)
-                cum.append(acc)
-                succs.append(succ)
-            cum[-1] = 1.0
-            self._samplers[key] = (tuple(cum), tuple(succs))
+        self._samplers = _cumulative_samplers(pomdp.mdp)
         self._rng = random.Random(seed)
         self._state: int | None = None
         self._steps = 0
@@ -487,15 +498,7 @@ class Environment:
         if action not in self.actions:
             raise ValueError(f"unknown action {action!r}")
         cum, succs = self._samplers[(self._state, action)]
-        r = self._rng.random()
-        lo, hi = 0, len(cum) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cum[mid] > r:
-                hi = mid
-            else:
-                lo = mid + 1
-        self._state = succs[lo]
+        self._state = succs[bisect.bisect_right(cum, self._rng.random())]
         self._steps += 1
         self._goal = self._state in self.pomdp.goal_states
         self._done = self._goal or self._steps >= self.max_steps
@@ -565,17 +568,7 @@ def sample_pomdp_traces(
     """
     rng = random.Random(seed)
     mdp = pomdp.mdp
-    samplers: dict[tuple[int, str], tuple[list[float], list[int]]] = {}
-    for key, dist in mdp.delta.items():
-        cum: list[float] = []
-        succs: list[int] = []
-        acc = 0.0
-        for succ, p in sorted(dist.items()):
-            acc += float(p)
-            cum.append(acc)
-            succs.append(succ)
-        cum[-1] = 1.0
-        samplers[key] = (cum, succs)
+    samplers = _cumulative_samplers(mdp)
     n_actions = len(mdp.actions)
     traces: list[ObsTrace] = []
     for _ in range(n_traces):
@@ -584,11 +577,7 @@ def sample_pomdp_traces(
         for _ in range(length):
             action = mdp.actions[rng.randrange(n_actions)]
             cum, succs = samplers[(state, action)]
-            r = rng.random()
-            i = 0
-            while cum[i] <= r:
-                i += 1
-            state = succs[i]
+            state = succs[bisect.bisect_right(cum, rng.random())]
             steps.append((action, pomdp.obs(state)))
         traces.append((pomdp.obs(mdp.initial), tuple(steps)))
     return traces

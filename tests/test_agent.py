@@ -8,6 +8,7 @@ import poql.agent as agent_mod
 from poql.agent import (
     AgentConfig,
     ExtendedState,
+    PoqlAgent,
     QTable,
     RandomAgent,
     RepeatActionAgent,
@@ -15,12 +16,18 @@ from poql.agent import (
     evaluate,
     get_action,
     replay,
+    run_episode,
     train,
     update_q_values,
 )
 from poql.beliefs import build_belief_mdp
 from poql.envs import Environment, fully_observable, make_environment
-from poql.models import discounted_return, reset_to_initial, step_to
+from poql.models import (
+    RewardObservationTrace,
+    discounted_return,
+    reset_to_initial,
+    step_to,
+)
 
 ACTIONS = ("up", "down", "left", "right")
 
@@ -105,17 +112,8 @@ def beverage_model(beverage_world):
 
 
 def _record_episode(env, seed):
-    rng = random.Random(seed)
-    obs, reward = env.reset()
-    steps = []
-    done = False
-    while not done:
-        action = env.actions[rng.randrange(len(env.actions))]
-        new_obs, r, done = env.step(action)
-        steps.append((action, r, new_obs))
-    from poql.models import RewardObservationTrace
-
-    return RewardObservationTrace(obs, reward, tuple(steps))
+    agent = RandomAgent(env.actions)
+    return RewardObservationTrace(*run_episode(env, agent, random.Random(seed)))
 
 
 def test_replay_empty_history_keeps_zeros(beverage_model):
@@ -152,6 +150,19 @@ def test_replay_is_deterministic(beverage_model):
     assert q1._rows == q2._rows
 
 
+def test_run_episode_learning_matches_replay(beverage_model):
+    """The runner's online updates equal a replay of the traces it returns."""
+    env = make_environment("hot_beverage", seed=79)
+    agent = PoqlAgent(beverage_model, QTable(env.actions), AgentConfig())
+    rng = random.Random(4)
+    history = [RewardObservationTrace(*run_episode(env, agent, rng, 0.5, (0.1, 0.99)))
+               for _ in range(10)]
+    replayed = QTable(env.actions)
+    replay(replayed, beverage_model, history, 0.1, 0.99)
+    assert len(agent.q) > 1
+    assert agent.q._rows == replayed._rows
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -169,14 +180,14 @@ def test_train_learns_the_delayed_route(trained_beverage):
     agent, env = trained_beverage
     env.reseed(123)
     obs, _ = env.reset()
-    agent.begin_episode(obs)
+    key = agent.begin_episode(obs)
     rng = random.Random(0)
     actions = []
     for _ in range(3):
-        a = agent.greedy_action(rng)
+        a = agent.choose(key, 0.0, rng)
         actions.append(a)
         obs, _, done = env.step(a)
-        agent.observe(a, obs)
+        key = agent.observe(a, obs)
         if done:
             break
     assert actions == ["coin", "coin", "button"]
@@ -250,6 +261,9 @@ def test_config_validation():
         AgentConfig(update_interval=0)
     with pytest.raises(ValueError):
         AgentConfig(freeze_after=50, max_episodes=40)
+    for bad in ({"eval_every": 0}, {"eval_episodes": 0}, {"eps_al": 0.0}, {"eps_al": 1.5}):
+        with pytest.raises(ValueError):
+            AgentConfig(**bad)
 
 
 def test_config_default_episode_budget():
@@ -306,13 +320,13 @@ def test_evaluate_mean_return_matches_discounted_return(trained_beverage):
     returns = []
     for _ in range(20):
         obs, r = env.reset()
-        agent.begin_episode(obs)
+        key = agent.begin_episode(obs)
         rewards = [r]
         done = False
         while not done:
-            a = agent.greedy_action(rng)
+            a = agent.choose(key, 0.0, rng)
             obs, r, done = env.step(a)
-            agent.observe(a, obs)
+            key = agent.observe(a, obs)
             rewards.append(r)
         returns.append(discounted_return(rewards, 0, agent.gamma))
     assert stats.mean_return == pytest.approx(sum(returns) / 20)
@@ -345,13 +359,13 @@ def test_evaluate_oracle_policy_matches_shortest_path():
         gamma = 0.9
 
         def begin_episode(self, obs):
-            self.obs = obs
+            return obs
 
-        def greedy_action(self, rng):
-            return policy[obs_to_state[self.obs]]
+        def choose(self, obs, epsilon, rng):
+            return policy[obs_to_state[obs]]
 
         def observe(self, action, obs):
-            self.obs = obs
+            return obs
 
     frontier = deque([(spec.start, 0)])
     seen = {spec.start}

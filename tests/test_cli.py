@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 
@@ -75,11 +76,21 @@ def test_invalid_environment_rejected_without_artifacts(tmp_path, capsys):
     assert not (tmp_path / "nope").exists()
 
 
-def test_invalid_agent_config_rejected(tmp_path, capsys):
-    cfg = _config(tmp_path / "nope", alpha=0.0)
+@pytest.mark.parametrize("agent,bad", [
+    pytest.param("poql", {"alpha": 0.0}, id="alpha"),
+    pytest.param("poql", {"eval_every": 0}, id="eval_every"),
+    pytest.param("poql", {"eval_episodes": 0}, id="eval_episodes"),
+    pytest.param("random", {"eval_episodes": 0}, id="random-eval_episodes"),
+    pytest.param("poql", {"eps_al": 0}, id="eps_al-0"),
+    pytest.param("poql", {"eps_al": 1.5}, id="eps_al-1.5"),
+])
+def test_invalid_agent_config_rejected(tmp_path, capsys, agent, bad):
+    cfg = _config(tmp_path / "nope", agent=agent, **bad)
     path = _write_config(tmp_path, "bad2.json", cfg)
     assert main(["train", str(path)]) == 2
-    assert "agent_config" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid agent_config: ") and err.count("\n") == 1
+    assert not (tmp_path / "nope").exists()
 
 
 def test_unknown_agent_config_key_rejected(tmp_path, capsys):
@@ -341,3 +352,65 @@ def test_unused_environment_parameters_rejected(tmp_path, capsys):
     assert main(["train", str(path)]) == 2
     assert "environment parameters" in capsys.readouterr().err
     assert not (tmp_path / "nope").exists()
+
+
+# sha256 of each artifact of `poql train` at seed 7 with GOLDEN_AGENT_CONFIG
+# (None: the run writes no such file), recorded before the act/step loops of
+# train, the baseline, bootstrap and evaluation were merged into one runner.
+# A target goal rate above 1 keeps poql running through three relearns.
+GOLDEN_AGENT_CONFIG = dict(max_episodes=250, bootstrap_episodes=20, update_interval=100,
+                           eval_every=100, eval_episodes=10, epsilon_decay_episodes=150,
+                           target_goal_rate=2.0)
+GOLDEN_ARTIFACT_FILES = ("run_record.csv", "traces.txt", "qtable.txt", "model.json")
+GOLDEN_ARTIFACTS = {
+    ('obs_baseline', 'confusing_officeworld'): {
+        'run_record.csv': 'aac1ddb4ab4feb9e80a326d791bed53b2c02d3b00535260df6cf5bd24ae694e2',
+        'traces.txt': 'ace641cbfc62ac30091b238c1ee66cc0a32b40d0d7d0dd070404d297a028c704',
+        'qtable.txt': '425371912a54a9c4e543f582b796046ae055438600484be816dc1fcd8ade1d0f',
+        'model.json': None,
+    },
+    ('obs_baseline', 'hot_beverage'): {
+        'run_record.csv': 'a92f1704614a46d5a37bcf2925b5e0a8812d8253759b182ec7fe94461fd1c2de',
+        'traces.txt': '88b626cec046b6e1b23ff36bac924a91bf4f2aa9153831e30a1a27c10b00d69e',
+        'qtable.txt': '1e4532c9195491172a1fdd536ca86e534eb5fa9736dd29b491bc11e77a3185fe',
+        'model.json': None,
+    },
+    ('poql', 'confusing_officeworld'): {
+        'run_record.csv': '0452aac3a7a16fac3e1c1e9a32d2f0f5389e08cc0fb736fcfb4115c63ceaf513',
+        'traces.txt': '36004b836b64d39785dfcf000a389cb2fe2c49d771255810f7932c0efc55e4ef',
+        'qtable.txt': 'ce5cc849911051ba8cd06806f568dce9b4110f16dce4f6b28ec274f97bc456bf',
+        'model.json': 'e9d15c4715ec99c894305f78ac252a584c1cd98a8aa5873b32a806aee09c7f80',
+    },
+    ('poql', 'hot_beverage'): {
+        'run_record.csv': '633f0ff4820ff7d9ce84bf69f601c8e26b5af2415d193e435a9bb161969ae794',
+        'traces.txt': '414be13288a5938cdb6e481b4da1366793453e6e78500034f6b34b65de3c24f7',
+        'qtable.txt': 'bb0b466b2a9b6289d141b4be79990cfc877a562cdc9bb8ddcfe29f908c7a5ced',
+        'model.json': '3c2e57e814a186b3014c1646b8a63a825eff8aa44f0bbf804eacb2170ac7eb61',
+    },
+    ('random', 'confusing_officeworld'): {
+        'run_record.csv': '7e8ae11ec4621cb3109c07b3a1be3e4e55ef2c97cb362e27b7d14dac5c81823e',
+        'traces.txt': None,
+        'qtable.txt': None,
+        'model.json': None,
+    },
+    ('random', 'hot_beverage'): {
+        'run_record.csv': '8cc8132b7db667a06f8ad0820f8d55876b971565158c57dea022ecd047f4a202',
+        'traces.txt': None,
+        'qtable.txt': None,
+        'model.json': None,
+    },
+}
+
+
+def _artifact_digests(outdir):
+    return {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+            if (outdir / name).exists() else None for name in GOLDEN_ARTIFACT_FILES}
+
+
+@pytest.mark.parametrize("agent,env_name", sorted(GOLDEN_ARTIFACTS))
+def test_train_artifacts_match_golden_digests(tmp_path, agent, env_name):
+    cfg = _config(tmp_path / "run", agent=agent, env_name=env_name)
+    cfg["agent_config"] = dict(GOLDEN_AGENT_CONFIG)
+    path = _write_config(tmp_path, "golden.json", cfg)
+    assert main(["train", str(path), "--quiet"]) == 0
+    assert _artifact_digests(tmp_path / "run") == GOLDEN_ARTIFACTS[(agent, env_name)]

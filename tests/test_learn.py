@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from poql.agent import RandomAgent, run_episode
 from poql.checkpoint import model_to_dict
 from poql.envs import hot_beverage_world, make_environment, sample_pomdp_traces
 from poql.learn import (
@@ -17,7 +18,12 @@ from poql.learn import (
     hoeffding_compatible,
     run_ioalergia,
 )
-from poql.models import label_determinism_violations, reset_to_initial, step_to
+from poql.models import (
+    RewardObservationTrace,
+    label_determinism_violations,
+    reset_to_initial,
+    step_to,
+)
 
 
 def _trace(initial, *steps):
@@ -219,18 +225,9 @@ def test_compatible_tests_tails_exactly_above_two_over_e_squared():
 
 def _random_episodes(env, n, seed):
     """Observation traces of n uniform-random-policy episodes of env."""
-    rng = random.Random(seed)
-    traces = []
-    for _ in range(n):
-        obs, _ = env.reset()
-        steps = []
-        done = False
-        while not done:
-            action = env.actions[rng.randrange(len(env.actions))]
-            new_obs, _, done = env.step(action)
-            steps.append((action, new_obs))
-        traces.append((obs, tuple(steps)))
-    return traces
+    agent, rng = RandomAgent(env.actions), random.Random(seed)
+    return [RewardObservationTrace(*run_episode(env, agent, rng)).observation_part()
+            for _ in range(n)]
 
 
 def _assert_sample_replays(traces, model):
