@@ -56,10 +56,6 @@ class QTable:
         row = self._rows.get(state)
         return row[self._index[action]] if row is not None else 0.0
 
-    def best_value(self, state) -> float:
-        row = self._rows.get(state)
-        return max(row) if row is not None else 0.0
-
     def row(self, state) -> list[float] | None:
         return self._rows.get(state)
 
@@ -150,6 +146,8 @@ class AgentConfig:
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
         if self.update_interval < 1:
             raise ValueError("update_interval must be at least 1")
+        if self.max_episodes < 1:
+            raise ValueError("max_episodes must be at least 1")
         if self.freeze_after is not None and self.freeze_after > self.max_episodes:
             raise ValueError("freeze_after cannot exceed max_episodes")
         if self.bootstrap_episodes < 1:
@@ -221,8 +219,6 @@ class PoqlAgent(TabularAgent):
     (state, defined) pair on the learned model.
     """
 
-    kind = "poql"
-
     def __init__(self, model: DeterministicLabeledMdp, q: QTable, config: AgentConfig):
         super().__init__(q, config)
         self.model = model
@@ -257,8 +253,6 @@ class PoqlAgent(TabularAgent):
 class BaselineAgent(TabularAgent):
     """Observation-only Q-learner: the raw observation is the key."""
 
-    kind = "obs_baseline"
-
     def begin_episode(self, obs: str) -> str:
         return obs
 
@@ -268,8 +262,6 @@ class BaselineAgent(TabularAgent):
 
 class RandomAgent:
     """Uniform-random policy, for floors, sanity checks and bootstrap episodes."""
-
-    kind = "random"
 
     def __init__(self, actions: Sequence[str], gamma: float = 0.99):
         self.actions = tuple(actions)
@@ -291,7 +283,6 @@ class RepeatActionAgent:
     def __init__(self, action: str, gamma: float = 0.99):
         self.action = action
         self.gamma = gamma
-        self.kind = f"repeat_{action}"
 
     def begin_episode(self, obs: str) -> None:
         return None

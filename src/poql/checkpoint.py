@@ -22,6 +22,7 @@ from pathlib import Path
 from .agent import AgentConfig, BaselineAgent, ExtendedState, PoqlAgent, QTable
 from .models import (
     DeterministicLabeledMdp,
+    check_symbol,
     dlmdp_to_dot,
     read_trace_file,
     write_trace_file,
@@ -136,17 +137,38 @@ def qtable_from_rows(lines: list[str], actions: tuple[str, ...]) -> QTable:
     return q
 
 
+class ConfigError(ValueError):
+    """An unusable input (config, flag or run file); the message names the file."""
+
+
 @contextmanager
 def _loading(path: Path):
-    """Re-raise a failure to read or decode `path` as a ValueError naming it."""
+    """Re-raise a failure to read or decode `path` as a ConfigError naming it."""
     try:
         yield
     except KeyError as exc:
-        raise ValueError(f"{path}: missing key {exc}") from exc
+        raise ConfigError(f"{path}: missing key {exc}") from exc
     except OSError as exc:
-        raise ValueError(f"{path}: {exc.strerror or exc}") from exc
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def read_json_object(path) -> dict:
+    """The JSON object stored in `path`; every failure names the file."""
+    path = Path(path)
+    with _loading(path):
+        data = json.loads(path.read_text())
+        if not isinstance(data, dict):
+            raise ValueError("not a JSON object")
+    return data
+
+
+def load_model(path) -> tuple[DeterministicLabeledMdp, str]:
+    """A `model.json` as (model, the config hash it records)."""
+    data = read_json_object(path)
+    with _loading(path):
+        return model_from_dict(data), data.get("config_hash", "")
 
 
 def save_checkpoint(path, agent, exp_config: dict) -> None:
@@ -178,34 +200,32 @@ def save_checkpoint(path, agent, exp_config: dict) -> None:
 def load_checkpoint(path):
     """Reload (agent, exp_config) from a checkpoint directory.
 
-    Every failure to load raises ValueError whose message starts with the
+    Every failure to load raises ConfigError whose message starts with the
     offending file, and with its line for `qtable.txt` and `traces.txt`.
     """
     out = Path(path)
     config_path = out / "config.json"
+    exp_config = read_json_object(config_path)
     with _loading(config_path):
-        exp_config = json.loads(config_path.read_text())
         agent_config = AgentConfig(**exp_config.get("agent_config", {}))
         kind = exp_config["agent"]
     qtable_path = out / "qtable.txt"
     with _loading(qtable_path):
         qtable_lines = qtable_path.read_text().splitlines()
     if kind == "poql":
-        model_path = out / "model.json"
-        with _loading(model_path):
-            model = model_from_dict(json.loads(model_path.read_text()))
+        model, _ = load_model(out / "model.json")
         with _loading(config_path):
-            actions = tuple(exp_config.get("actions") or model.actions)
+            actions = tuple(map(check_symbol, exp_config.get("actions") or model.actions))
     elif kind == "obs_baseline":
         model = None
         with _loading(config_path):
-            actions = tuple(exp_config["actions"])
+            actions = tuple(map(check_symbol, exp_config["actions"]))
     else:
-        raise ValueError(f"{config_path}: cannot reload agent kind {kind!r}")
+        raise ConfigError(f"{config_path}: cannot reload agent kind {kind!r}")
     try:
         q = qtable_from_rows(qtable_lines, actions)
     except ValueError as exc:
-        raise ValueError(f"{qtable_path}:{exc}") from exc
+        raise ConfigError(f"{qtable_path}:{exc}") from exc
     if model is not None:
         agent = PoqlAgent(model, q, agent_config)
     else:
@@ -215,5 +235,7 @@ def load_checkpoint(path):
         try:
             agent.history = read_trace_file(traces_path)
         except OSError as exc:
-            raise ValueError(f"{traces_path}: {exc.strerror or exc}") from exc
+            raise ConfigError(f"{traces_path}: {exc.strerror or exc}") from exc
+        except ValueError as exc:  # already `<path>:<line>: ...`
+            raise ConfigError(str(exc)) from exc
     return agent, exp_config

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import glob
 import json
 import os
@@ -24,8 +23,9 @@ import time
 from pathlib import Path
 
 from .agent import AgentConfig, RandomAgent, _eval_row, baseline_obs_q, evaluate, train
-from .checkpoint import config_hash, load_checkpoint, model_from_dict, save_checkpoint
-from .envs import ENVIRONMENT_NAMES, make_environment
+from .checkpoint import (ConfigError, config_hash, load_checkpoint, load_model,
+                         read_json_object, save_checkpoint)
+from .envs import Environment, make_environment
 from .models import dlmdp_to_dot
 
 SCHEMA_VERSION = 1
@@ -41,16 +41,8 @@ RUN_RECORD_COLUMNS = (
 )
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def load_experiment_config(path) -> dict:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return validate_experiment_config(raw)
+    return validate_experiment_config(read_json_object(path))
 
 
 def validate_experiment_config(raw: dict) -> dict:
@@ -62,31 +54,29 @@ def validate_experiment_config(raw: dict) -> dict:
     missing = required - raw.keys()
     if missing:
         raise ConfigError(f"config missing keys: {sorted(missing)}")
+    if not isinstance(raw["output_dir"], str):
+        raise ConfigError(f"output_dir must be a string, got {raw['output_dir']!r}")
     if raw["agent"] not in AGENT_KINDS:
         raise ConfigError(f"agent must be one of {AGENT_KINDS}, got {raw['agent']!r}")
     env = raw["environment"]
     if not isinstance(env, dict) or "name" not in env:
         raise ConfigError("environment must be an object with a 'name'")
-    if env["name"] not in ENVIRONMENT_NAMES:
-        raise ConfigError(
-            f"unknown environment {env['name']!r}; expected one of {ENVIRONMENT_NAMES}"
-        )
-    try:
-        make_environment(env["name"], seed=0,
-                         **{k: v for k, v in env.items() if k != "name"})
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"invalid environment parameters: {exc}") from exc
-    if not isinstance(raw["seed"], int):
+    build_environment(raw, seed=0)
+    if not isinstance(raw["seed"], int) or isinstance(raw["seed"], bool):
         raise ConfigError("seed must be an explicit integer")
-    known_fields = {f.name for f in dataclasses.fields(AgentConfig)}
-    unknown = set(raw.get("agent_config", {})) - known_fields
-    if unknown:
-        raise ConfigError(f"unknown agent_config fields: {sorted(unknown)}")
     try:
         AgentConfig(**raw.get("agent_config", {}))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid agent_config: {exc}") from exc
     return raw
+
+
+def build_environment(config: dict, seed: int | str) -> Environment:
+    """The environment that the config's "environment" object names."""
+    try:
+        return make_environment(seed=seed, **config.get("environment"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid environment: {exc}") from exc
 
 
 def resolve_output_dir(config: dict) -> Path:
@@ -111,20 +101,14 @@ def _write_run_record(path: Path, rows: list[dict], digest: str) -> None:
 
 
 def cmd_train(args) -> int:
-    try:
-        config = load_experiment_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = load_experiment_config(args.config)
     out = resolve_output_dir(config)
     if (out / "run.json").exists() and not args.force:
-        print(f"error: {out} already holds a run (use --force)", file=sys.stderr)
-        return 2
+        raise ConfigError(f"{out} already holds a run (use --force)")
     out.mkdir(parents=True, exist_ok=True)
     digest = config_hash(config)
 
-    env = make_environment(config["environment"]["name"], seed=config["seed"],
-                           **{k: v for k, v in config["environment"].items() if k != "name"})
+    env = build_environment(config, seed=config["seed"])
     agent_config = AgentConfig(**config.get("agent_config", {}))
     run_meta = {
         "status": "incomplete",
@@ -168,22 +152,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.episodes < 1:
+        raise ConfigError(f"--episodes must be at least 1, got {args.episodes}")
+    agent, config = load_checkpoint(args.checkpoint)
     try:
-        agent, config = load_checkpoint(args.checkpoint)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        env_cfg = config["environment"]
-        env = make_environment(env_cfg["name"], seed=args.seed,
-                               **{k: v for k, v in env_cfg.items() if k != "name"})
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        config_path = Path(args.checkpoint) / "config.json"
-        print(f"error: {config_path}: invalid environment: {exc!r}", file=sys.stderr)
-        return 2
+        env = build_environment(config, seed=args.seed)
+    except ConfigError as exc:
+        raise ConfigError(f"{Path(args.checkpoint) / 'config.json'}: {exc}") from exc
     stats = evaluate(agent, env, args.episodes, args.seed)
     print(json.dumps({
-        "environment": env_cfg["name"],
+        "environment": env.name,
         "agent": config["agent"],
         "episodes": args.episodes,
         "goal_rate": stats.goal_rate,
@@ -194,14 +172,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    model_path = Path(args.checkpoint) / "model.json"
-    try:
-        data = json.loads(model_path.read_text())
-        model = model_from_dict(data)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"error: cannot load model from {args.checkpoint}: {exc}", file=sys.stderr)
-        return 2
-    dot = dlmdp_to_dot(model, comment=f"config_hash={data.get('config_hash', '')}")
+    model, digest = load_model(Path(args.checkpoint) / "model.json")
+    dot = dlmdp_to_dot(model, comment=f"config_hash={digest}")
     if args.out:
         Path(args.out).write_text(dot)
     else:
@@ -217,16 +189,13 @@ def _compare_rows(run_dirs) -> list[dict]:
         row = {"run": str(d), "environment": "?", "agent": "?",
                "steps_to_goal": "", "episodes_to_stop": "", "status": "incomplete"}
         if meta_path.exists():
-            try:
-                meta = json.loads(meta_path.read_text())
-            except (OSError, ValueError) as exc:
-                raise ValueError(f"{meta_path}: {exc}") from exc
-            if not isinstance(meta, dict):
-                raise ValueError(f"{meta_path}: not a JSON object")
-            row["environment"] = meta.get("environment", "?")
-            row["agent"] = meta.get("agent", "?")
+            meta = read_json_object(meta_path)
+            row["environment"] = str(meta.get("environment", "?"))
+            row["agent"] = str(meta.get("agent", "?"))
             if meta.get("status") == "complete" and (path / "run_record.csv").exists():
-                final = meta.get("final", {})
+                final = meta.get("final")
+                if not isinstance(final, dict):
+                    raise ConfigError(f"{meta_path}: 'final' is not an object")
                 steps = final.get("mean_steps")
                 row["steps_to_goal"] = "x" if steps is None else str(steps)
                 row["episodes_to_stop"] = str(meta.get("stop_episode", ""))
@@ -237,11 +206,7 @@ def _compare_rows(run_dirs) -> list[dict]:
 
 
 def cmd_compare(args) -> int:
-    try:
-        rows = _compare_rows(args.run_dirs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rows = _compare_rows(args.run_dirs)
     columns = ("environment", "agent", "steps_to_goal", "episodes_to_stop", "status", "run")
     widths = {c: max(len(c), *(len(r[c]) for r in rows)) if rows else len(c) for c in columns}
     header = "  ".join(c.ljust(widths[c]) for c in columns)
@@ -260,8 +225,7 @@ def cmd_compare(args) -> int:
 def cmd_sweep(args) -> int:
     configs = sorted(p for pattern in args.patterns for p in glob.glob(pattern))
     if not configs:
-        print("error: no configs matched", file=sys.stderr)
-        return 2
+        raise ConfigError("no configs matched")
     failures = 0
     for cfg in configs:
         print(f"== {cfg}")
@@ -306,8 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; an unusable input prints one `error:` line and gives 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

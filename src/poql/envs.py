@@ -138,7 +138,6 @@ class World:
 
     pomdp: Pomdp
     state_of: Mapping[Hashable, int]
-    spec: GridSpec | None = None
     name: str = ""
 
 
@@ -212,7 +211,7 @@ def grid_pomdp(spec: GridSpec, name: str = "grid", bump_obs: str | None = None) 
         reward_fn={goal_id: GOAL_REWARD},
         goal_states=frozenset({goal_id}),
     )
-    return World(pomdp, state_of, spec, name)
+    return World(pomdp, state_of, name)
 
 
 def hot_beverage_world(
@@ -249,7 +248,7 @@ def hot_beverage_world(
         reward_fn={4: GOAL_REWARD},
         goal_states=frozenset({4}),
     )
-    return World(pomdp, {i: i for i in range(5)}, None, "hot_beverage")
+    return World(pomdp, {i: i for i in range(5)}, "hot_beverage")
 
 
 def _as_prob(p) -> Prob:
@@ -385,7 +384,7 @@ def gravity_world(width: int = GRAVITY_WIDTH, height: int = GRAVITY_HEIGHT) -> W
         reward_fn={sid: GOAL_REWARD for sid in goal_ids},
         goal_states=goal_ids,
     )
-    return World(pomdp, state_of, None, "gravity")
+    return World(pomdp, state_of, "gravity")
 
 
 def _thinmaze_spec() -> GridSpec:
@@ -464,12 +463,10 @@ class Environment:
         pomdp: Pomdp,
         seed: int | str = 0,
         max_steps: int = DEFAULT_MAX_STEPS,
-        name: str = "",
-        world: World | None = None,
+        name: str = "pomdp",
     ):
         self.pomdp = pomdp
-        self.name = name or (world.name if world else "pomdp")
-        self.world = world
+        self.name = name
         self.max_steps = max_steps
         self.actions = pomdp.mdp.actions
         self.observations = pomdp.observations
@@ -555,7 +552,7 @@ def make_environment(name: str, seed: int | str = 0, **params) -> Environment:
     world = builder(params)
     if params:
         raise ValueError(f"unused environment parameters: {sorted(params)}")
-    return Environment(world.pomdp, seed=seed, max_steps=max_steps, name=name, world=world)
+    return Environment(world.pomdp, seed=seed, max_steps=max_steps, name=name)
 
 
 def sample_pomdp_traces(

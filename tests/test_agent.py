@@ -261,7 +261,8 @@ def test_config_validation():
         AgentConfig(update_interval=0)
     with pytest.raises(ValueError):
         AgentConfig(freeze_after=50, max_episodes=40)
-    for bad in ({"eval_every": 0}, {"eval_episodes": 0}, {"eps_al": 0.0}, {"eps_al": 1.5}):
+    for bad in ({"eval_every": 0}, {"eval_episodes": 0}, {"eps_al": 0.0}, {"eps_al": 1.5},
+                {"max_episodes": 0}, {"max_episodes": -5}):
         with pytest.raises(ValueError):
             AgentConfig(**bad)
 

@@ -83,6 +83,8 @@ def test_invalid_environment_rejected_without_artifacts(tmp_path, capsys):
     pytest.param("random", {"eval_episodes": 0}, id="random-eval_episodes"),
     pytest.param("poql", {"eps_al": 0}, id="eps_al-0"),
     pytest.param("poql", {"eps_al": 1.5}, id="eps_al-1.5"),
+    pytest.param("poql", {"max_episodes": 0}, id="max_episodes-0"),
+    pytest.param("poql", {"max_episodes": -5}, id="max_episodes-negative"),
 ])
 def test_invalid_agent_config_rejected(tmp_path, capsys, agent, bad):
     cfg = _config(tmp_path / "nope", agent=agent, **bad)
@@ -91,6 +93,41 @@ def test_invalid_agent_config_rejected(tmp_path, capsys, agent, bad):
     err = capsys.readouterr().err
     assert err.startswith("error: invalid agent_config: ") and err.count("\n") == 1
     assert not (tmp_path / "nope").exists()
+
+
+def _error_line(argv, capsys) -> str:
+    """Run `poql argv` on an unusable input; return its one stderr line."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err[len("error: "):].rstrip("\n")
+
+
+def test_train_rejects_config_that_is_not_an_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert _error_line(["train", str(path)], capsys) == f"{path}: not a JSON object"
+
+
+def test_train_rejects_agent_config_that_is_not_an_object(tmp_path, capsys):
+    cfg = _config(tmp_path / "nope")
+    cfg["agent_config"] = 5
+    path = _write_config(tmp_path, "five.json", cfg)
+    assert _error_line(["train", str(path)], capsys).startswith("invalid agent_config: ")
+    assert not (tmp_path / "nope").exists()
+
+
+def test_train_rejects_boolean_seed(tmp_path, capsys):
+    path = _write_config(tmp_path, "seed.json", _config(tmp_path / "nope", seed=True))
+    assert _error_line(["train", str(path)], capsys) == "seed must be an explicit integer"
+    assert not (tmp_path / "nope").exists()
+
+
+def test_train_rejects_non_string_output_dir(tmp_path, capsys):
+    cfg = _config(tmp_path / "unused")
+    cfg["output_dir"] = 5
+    path = _write_config(tmp_path, "outdir.json", cfg)
+    assert _error_line(["train", str(path)], capsys) == "output_dir must be a string, got 5"
 
 
 def test_unknown_agent_config_key_rejected(tmp_path, capsys):
@@ -162,6 +199,12 @@ def test_export_dot_rejects_empty_model(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_export_dot_rejects_model_that_is_not_an_object(tmp_path, capsys):
+    (tmp_path / "model.json").write_text("[]")
+    assert _error_line(["export-dot", str(tmp_path)], capsys) == (
+        f"{tmp_path / 'model.json'}: not a JSON object")
+
+
 def test_model_from_dict_rejects_empty():
     with pytest.raises(ValueError):
         model_from_dict({"initial": 0, "actions": [], "states": [], "transitions": []})
@@ -192,6 +235,26 @@ def test_compare_rejects_truncated_run_json(beverage_run, tmp_path, capsys):
     assert err.startswith(f"error: {meta}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("final", [None, 3])
+def test_compare_rejects_run_json_without_final_object(beverage_run, tmp_path, capsys, final):
+    outdir, _ = beverage_run
+    run = tmp_path / "nofinal"
+    shutil.copytree(outdir, run)
+    meta_path = run / "run.json"
+    meta = json.loads(meta_path.read_text())
+    meta["final"] = final
+    meta_path.write_text(json.dumps(meta))
+    assert _error_line(["compare", str(outdir), str(run)], capsys) == (
+        f"{meta_path}: 'final' is not an object")
+
+
+@pytest.mark.parametrize("episodes", ["0", "-3"])
+def test_eval_rejects_episode_count_below_one(tmp_path, capsys, episodes):
+    # The checkpoint does not exist: the count is checked before any file is read.
+    argv = ["eval", str(tmp_path / "no-run"), "--episodes", episodes]
+    assert _error_line(argv, capsys) == f"--episodes must be at least 1, got {episodes}"
+
+
 def _checkpoint_copy(beverage_run, tmp_path):
     outdir, _ = beverage_run
     ckpt = tmp_path / "ckpt"
@@ -201,10 +264,7 @@ def _checkpoint_copy(beverage_run, tmp_path):
 
 def _eval_error(ckpt, capsys) -> str:
     """Run `poql eval` on a broken checkpoint; return its one stderr line."""
-    assert main(["eval", str(ckpt), "--episodes", "5"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    return err[len("error: "):].rstrip("\n")
+    return _error_line(["eval", str(ckpt), "--episodes", "5"], capsys)
 
 
 def _replace_line(path, index, text):
@@ -248,6 +308,14 @@ def test_eval_reports_config_with_non_list_actions(beverage_run, tmp_path, capsy
     config["actions"] = 5
     (ckpt / "config.json").write_text(json.dumps(config))
     assert _eval_error(ckpt, capsys).startswith(f"{ckpt / 'config.json'}: ")
+
+
+def test_eval_reports_config_with_non_symbol_actions(beverage_run, tmp_path, capsys):
+    ckpt = _checkpoint_copy(beverage_run, tmp_path)
+    config = json.loads((ckpt / "config.json").read_text())
+    config["actions"][0] = ["coin"]
+    (ckpt / "config.json").write_text(json.dumps(config))
+    assert _eval_error(ckpt, capsys).startswith(f"{ckpt / 'config.json'}: invalid symbol ")
 
 
 def test_eval_reports_config_without_environment(beverage_run, tmp_path, capsys):
