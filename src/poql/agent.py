@@ -69,16 +69,20 @@ class QTable:
 def get_action(
     q: QTable, state, epsilon: float, actions: Sequence[str], rng: random.Random
 ) -> str:
-    """Epsilon-greedy action choice with uniform tie-breaking among maxima."""
+    """Epsilon-greedy action choice with uniform tie-breaking among maxima.
+
+    NaN is the maximum only at the front of a row; `list.count` finds it by
+    identity, so its action is picked (ValueError if that object repeats).
+    """
     if epsilon > 0.0 and rng.random() < epsilon:
         return actions[rng.randrange(len(actions))]
-    row = q.row(state)
+    row = q._rows.get(state)
     if row is None:
         return actions[rng.randrange(len(actions))]
     best = max(row)
+    if row.count(best) == 1:
+        return actions[row.index(best)]
     ties = [i for i, v in enumerate(row) if v == best]
-    if len(ties) == 1:
-        return actions[ties[0]]
     return actions[ties[rng.randrange(len(ties))]]
 
 
@@ -86,13 +90,19 @@ def update_q_values(
     q: QTable, state, action: str, reward: float, next_state, alpha: float, gamma: float
 ) -> None:
     """One temporal-difference backup toward reward + gamma * best next value."""
-    row = q._rows.get(state)
+    rows = q._rows
+    row = rows.get(state)
     if row is None:
-        row = q._rows[state] = [0.0] * len(q.actions)
+        row = rows[state] = [0.0] * len(q.actions)
     i = q._index[action]
-    next_row = q._rows.get(next_state)
+    next_row = rows.get(next_state)
     max_next = max(next_row) if next_row is not None else 0.0
     row[i] = (1.0 - alpha) * row[i] + alpha * (reward + gamma * max_next)
+
+
+def extended_keys(model: DeterministicLabeledMdp) -> dict[int, ExtendedState]:
+    """State -> the key after a defined step into it, whose observation is its label."""
+    return {s: ExtendedState(obs, s, True) for s, obs in model.label.items()}
 
 
 def replay(
@@ -106,14 +116,16 @@ def replay(
 
     Each episode is traced on the model exactly as it would have been online:
     reset the tracker, then advance it by (action, new observation) and apply
-    the same update with the pre- and post-step extended states.
+    the same update with the pre- and post-step extended states. Defined
+    steps share the immutable keys of `extended_keys(model)`.
     """
+    keys = extended_keys(model)
     for episode in history:
         tracker = reset_to_initial(model)
         ext = ExtendedState(episode.initial_obs, tracker.state, tracker.defined)
         for action, reward, obs in episode.steps:
-            tracker = step_to(tracker, action, obs, model)
-            nxt = ExtendedState(obs, tracker.state, tracker.defined)
+            state, defined = tracker = step_to(tracker, action, obs, model)
+            nxt = keys[state] if defined else ExtendedState(obs, state, False)
             update_q_values(q, ext, action, reward, nxt, alpha, gamma)
             ext = nxt
 
@@ -225,13 +237,21 @@ class PoqlAgent(TabularAgent):
         self.relearn_episodes: list[int] = []
         self._tracker: TrackerState | None = None
 
+    @property
+    def model(self) -> DeterministicLabeledMdp:
+        return self._model
+
+    @model.setter
+    def model(self, model: DeterministicLabeledMdp) -> None:
+        self._model, self._keys = model, extended_keys(model)
+
     def begin_episode(self, obs: str) -> ExtendedState:
-        tracker = self._tracker = reset_to_initial(self.model)
+        tracker = self._tracker = reset_to_initial(self._model)
         return ExtendedState(obs, tracker.state, tracker.defined)
 
     def observe(self, action: str, obs: str) -> ExtendedState:
-        tracker = self._tracker = step_to(self._tracker, action, obs, self.model)
-        return ExtendedState(obs, tracker.state, tracker.defined)
+        state, defined = self._tracker = step_to(self._tracker, action, obs, self._model)
+        return self._keys[state] if defined else ExtendedState(obs, state, False)
 
     def relearn(self, episode: int, log: Callable[[str], None] | None) -> None:
         """Every update_interval episodes before the freeze point, relearn the

@@ -20,6 +20,7 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from .agent import AgentConfig, RandomAgent, _eval_row, baseline_obs_q, evaluate, train
@@ -79,6 +80,15 @@ def build_environment(config: dict, seed: int | str) -> Environment:
         raise ConfigError(f"invalid environment: {exc}") from exc
 
 
+@contextmanager
+def _writing(path):
+    """Re-raise a failure to write `path` as a ConfigError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+
+
 def resolve_output_dir(config: dict) -> Path:
     out = Path(config["output_dir"])
     if not out.is_absolute():
@@ -105,7 +115,8 @@ def cmd_train(args) -> int:
     out = resolve_output_dir(config)
     if (out / "run.json").exists() and not args.force:
         raise ConfigError(f"{out} already holds a run (use --force)")
-    out.mkdir(parents=True, exist_ok=True)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
     digest = config_hash(config)
 
     env = build_environment(config, seed=config["seed"])
@@ -175,7 +186,8 @@ def cmd_export_dot(args) -> int:
     model, digest = load_model(Path(args.checkpoint) / "model.json")
     dot = dlmdp_to_dot(model, comment=f"config_hash={digest}")
     if args.out:
-        Path(args.out).write_text(dot)
+        with _writing(args.out):
+            Path(args.out).write_text(dot)
     else:
         sys.stdout.write(dot)
     return 0
@@ -215,7 +227,7 @@ def cmd_compare(args) -> int:
     for r in rows:
         print("  ".join(r[c].ljust(widths[c]) for c in columns))
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
+        with _writing(args.csv), open(args.csv, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=columns)
             writer.writeheader()
             writer.writerows({c: r[c] for c in columns} for r in rows)

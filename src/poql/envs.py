@@ -13,10 +13,11 @@ concurrently.
 
 from __future__ import annotations
 
-import bisect
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Hashable, Mapping
 
 from .models import Mdp, ObsTrace, Pomdp, Prob, check_symbol
@@ -428,11 +429,13 @@ def fully_observable(pomdp: Pomdp) -> Pomdp:
 def _cumulative_samplers(
     mdp: Mdp,
 ) -> dict[tuple[int, str], tuple[tuple[float, ...], tuple[int, ...]]]:
-    """Per (state, action): cumulative successor probabilities, the last
-    pinned to 1.0, and the successors in sorted order. The successor for a
-    uniform draw r is the first whose cumulative probability exceeds r."""
+    """Per (state, action) of states x actions, and no other key: cumulative
+    successor probabilities, the last pinned to 1.0, and the successors in
+    sorted order. The successor for a uniform draw r is the first whose
+    cumulative probability exceeds r."""
     samplers = {}
-    for key, dist in mdp.delta.items():
+    for key in product(mdp.states, mdp.actions):
+        dist = mdp.delta[key]
         cum: list[float] = []
         succs: list[int] = []
         acc = 0.0
@@ -471,6 +474,9 @@ class Environment:
         self.actions = pomdp.mdp.actions
         self.observations = pomdp.observations
         self._samplers = _cumulative_samplers(pomdp.mdp)
+        # state -> what entering it yields: (observation, reward, goal)
+        self._outcome = {s: (pomdp.obs(s), pomdp.reward(s), s in pomdp.goal_states)
+                         for s in pomdp.mdp.states}
         self._rng = random.Random(seed)
         self._state: int | None = None
         self._steps = 0
@@ -485,25 +491,23 @@ class Environment:
         self._state = self.pomdp.mdp.initial
         self._steps = 0
         self._done = False
-        self._goal = self._state in self.pomdp.goal_states
-        return self.pomdp.obs(self._state), self.pomdp.reward(self._state)
+        obs, reward, self._goal = self._outcome[self._state]
+        return obs, reward
 
     def step(self, action: str) -> tuple[str, float, bool]:
         """Perform an action; returns (observation, reward, done)."""
-        if self._done or self._state is None:
+        if self._done:
             raise EpisodeProtocolError("episode is over; call reset() first")
-        if action not in self.actions:
+        sampler = self._samplers.get((self._state, action))  # None: unknown action
+        if sampler is None:
             raise ValueError(f"unknown action {action!r}")
-        cum, succs = self._samplers[(self._state, action)]
-        self._state = succs[bisect.bisect_right(cum, self._rng.random())]
+        cum, succs = sampler
+        state = self._state = succs[bisect_right(cum, self._rng.random())]
+        obs, reward, goal = self._outcome[state]
         self._steps += 1
-        self._goal = self._state in self.pomdp.goal_states
-        self._done = self._goal or self._steps >= self.max_steps
-        return (
-            self.pomdp.obs(self._state),
-            self.pomdp.reward(self._state),
-            self._done,
-        )
+        self._goal = goal
+        self._done = done = goal or self._steps >= self.max_steps
+        return obs, reward, done
 
     @property
     def goal_reached(self) -> bool:
@@ -574,7 +578,7 @@ def sample_pomdp_traces(
         for _ in range(length):
             action = mdp.actions[rng.randrange(n_actions)]
             cum, succs = samplers[(state, action)]
-            state = succs[bisect.bisect_right(cum, rng.random())]
+            state = succs[bisect_right(cum, rng.random())]
             steps.append((action, pomdp.obs(state)))
         traces.append((pomdp.obs(mdp.initial), tuple(steps)))
     return traces

@@ -143,7 +143,7 @@ class DeterministicLabeledMdp:
     label: Mapping[int, str]
     trans: Mapping[tuple[int, str], Mapping[int, Prob]]
     counts: Mapping[tuple[int, str], Mapping[int, int]] | None = None
-    _step_map: dict[tuple[int, str], dict[str, int]] = field(
+    _successors: dict[tuple[int, str, str], TrackerState] = field(
         default_factory=dict, repr=False, compare=False
     )
 
@@ -164,12 +164,12 @@ class DeterministicLabeledMdp:
                 f"label determinism violated at ({s}, {a!r}): "
                 f"successors {s1} and {s2} share label {self.label[s1]!r}"
             )
-        # (state, action) -> {successor label -> successor}; sound because of
-        # the determinism invariant checked above.
+        # (state, action, successor label) -> shared TrackerState(successor,
+        # True); sound because of the determinism invariant checked above.
         for (s, a), dist in self.trans.items():
-            self._step_map[(s, a)] = {
-                self.label[succ]: succ for succ, p in dist.items() if p > 0
-            }
+            for succ, p in dist.items():
+                if p > 0:
+                    self._successors[(s, a, self.label[succ])] = TrackerState(succ, True)
 
     def prob(self, state: int, action: str, succ: int) -> float:
         dist = self.trans.get((state, action))
@@ -179,8 +179,10 @@ class DeterministicLabeledMdp:
         return self.trans.get((state, action), {})
 
     def successor_for_obs(self, state: int, action: str, obs: str) -> int | None:
-        entry = self._step_map.get((state, action))
-        return entry.get(obs) if entry else None
+        """The successor of (state, action) labeled obs, or None; read from the
+        model's shared, immutable `TrackerState` for that step."""
+        tracker = self._successors.get((state, action, obs))
+        return tracker.state if tracker is not None else None
 
     def reachable_states(self) -> list[int]:
         seen = {self.initial}
@@ -219,13 +221,15 @@ def step_to(
     If the model has a successor for (state, action) labeled `obs`, move
     there; otherwise clear the defined flag and keep the state. Never raises:
     undefined behavior is encoded in the flag.
+
+    A defined step returns the model's shared, immutable `TrackerState` for
+    the successor; only a step that clears the flag allocates.
     """
-    if not tracker.defined:
+    state, defined = tracker
+    if not defined:
         return tracker
-    succ = model.successor_for_obs(tracker.state, action, obs)
-    if succ is None:
-        return TrackerState(tracker.state, False)
-    return TrackerState(succ, True)
+    nxt = model._successors.get((state, action, obs))
+    return nxt if nxt is not None else TrackerState(state, False)
 
 
 def observation_trace(path: Sequence, obs_fn: Mapping[int, str]) -> list:

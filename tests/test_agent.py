@@ -3,6 +3,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import poql.agent as agent_mod
 from poql.agent import (
@@ -74,6 +75,38 @@ def test_get_action_breaks_ties_uniformly():
     sigma = math.sqrt(10_000 * 0.25 * 0.75)
     for action in ACTIONS:
         assert abs(counts[action] - expected) < 3 * sigma
+
+
+def _reference_get_action(q, state, epsilon, actions, rng):
+    """Epsilon-greedy choice that always builds the list of tied maxima."""
+    if epsilon > 0.0 and rng.random() < epsilon:
+        return actions[rng.randrange(len(actions))]
+    row = q.row(state)
+    if row is None:
+        return actions[rng.randrange(len(actions))]
+    best = max(row)
+    ties = [i for i, v in enumerate(row) if v == best]
+    if len(ties) == 1:
+        return actions[ties[0]]
+    return actions[ties[rng.randrange(len(ties))]]
+
+
+_Q_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                      st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300)
+@given(row=st.lists(_Q_VALUES, min_size=4, max_size=4), epsilon=st.sampled_from([0.0, 1.0]),
+       seed=st.integers(0, 2**32), known=st.booleans())
+def test_get_action_matches_the_tie_list_rule(row, epsilon, seed, known):
+    q = QTable(ACTIONS)
+    if known:
+        q._rows["s"] = row
+    fast, reference = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        assert (get_action(q, "s", epsilon, ACTIONS, fast)
+                == _reference_get_action(q, "s", epsilon, ACTIONS, reference))
+        assert fast.getstate() == reference.getstate()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -117,6 +118,36 @@ def test_fixed_seed_reproduces_episodes_bitwise():
     assert run("officeworld", 42) == run("officeworld", 42)
     assert run("gravity", 42) == run("gravity", 42)
     assert run("gravity", 42) != run("gravity", 43)
+
+
+@pytest.mark.parametrize("max_steps", [7, DEFAULT_MAX_STEPS])
+@pytest.mark.parametrize("seed", [0, 1, 2024])
+@pytest.mark.parametrize("name", ENVIRONMENT_NAMES)
+def test_step_matches_the_pomdp_read_directly(name, seed, max_steps):
+    """Each step draws once from the env's generator, samples the successor
+    from the sorted cumulative distribution, and reports what the POMDP's own
+    functions give for it, capped at max_steps."""
+    params = {"layout": GRID_TEXT} if name == "grid" else {}
+    env = make_environment(name, seed=seed, max_steps=max_steps, **params)
+    pomdp = env.pomdp
+    draws, policy = random.Random(seed), random.Random(seed + 1)
+    for _ in range(20):
+        state = pomdp.mdp.initial
+        assert env.reset() == (pomdp.obs_fn[state], pomdp.reward_fn.get(state, 0.0))
+        done, steps = False, 0
+        while not done:
+            action = policy.choice(env.actions)
+            r, acc = draws.random(), 0.0
+            for succ, p in sorted(pomdp.mdp.distribution(state, action).items()):
+                acc += float(p)
+                if r < acc:
+                    break
+            state, steps = succ, steps + 1
+            goal = state in pomdp.goal_states
+            done = goal or steps >= max_steps
+            assert env.step(action) == (pomdp.obs_fn[state], pomdp.reward_fn.get(state, 0.0), done)
+            assert (env.goal_reached, env.step_count) == (goal, steps)
+            assert env._rng.getstate() == draws.getstate()
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poql.agent import RandomAgent, run_episode
+from poql.agent import (ExtendedState, QTable, RandomAgent, replay, run_episode,
+                        update_q_values)
 from poql.checkpoint import model_to_dict
 from poql.envs import hot_beverage_world, make_environment, sample_pomdp_traces
 from poql.learn import (
@@ -453,3 +454,80 @@ def test_iofpta_edge_mass_counts_every_step(traces):
 @given(traces=_samples(), eps_al=_EPS_AL)
 def test_learned_model_conserves_mass_and_replays_its_sample(traces, eps_al):
     _assert_sample_replays(traces, run_ioalergia(traces, LearnerConfig(eps_al)))
+
+
+# ---------------------------------------------------------------------------
+# tracker and replay on learned models, against reference code
+# ---------------------------------------------------------------------------
+
+# Action "z" is never in a learning sample, so this episode leaves the model
+# by its second step and stays undefined for the two steps after it.
+_UNDEFINED_EPISODE = ("a", (("x", "a"), ("z", "b"), ("x", "a"), ("y", "c")))
+
+
+def _reference_step(tracker, action, obs, model):
+    """step_to read off model.trans and model.label directly."""
+    state, defined = tracker
+    if defined:
+        for succ, p in model.trans.get((state, action), {}).items():
+            if p > 0 and model.label[succ] == obs:
+                return (succ, True)
+    return (state, False)
+
+
+def _reference_replay(q, model, history, alpha, gamma):
+    """replay with a fresh ExtendedState built at every step."""
+    for episode in history:
+        tracker = (model.initial, True)
+        ext = ExtendedState(episode.initial_obs, *tracker)
+        for action, reward, obs in episode.steps:
+            tracker = _reference_step(tracker, action, obs, model)
+            nxt = ExtendedState(obs, *tracker)
+            update_q_values(q, ext, action, reward, nxt, alpha, gamma)
+            ext = nxt
+
+
+@st.composite
+def _model_and_history(draw):
+    """A model learned from one sample, and a rewarded history that mixes
+    that sample with another one and an episode that leaves the model."""
+    model = run_ioalergia(draw(_samples()), LearnerConfig(draw(_EPS_AL)))
+    rewards = st.sampled_from([0.0, -0.0, 1.0, -2.5, 100.0])
+    traces = draw(_samples())
+    traces.insert(draw(st.integers(0, len(traces))), _UNDEFINED_EPISODE)
+    history = [
+        RewardObservationTrace(init, draw(rewards),
+                               tuple((a, draw(rewards), o) for a, o in steps))
+        for init, steps in traces
+    ]
+    return model, history
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_model_and_history())
+def test_step_to_matches_a_walk_over_trans_and_label(case):
+    model, history = case
+    undefined = 0
+    for episode in history:
+        tracker = reset_to_initial(model)
+        expected = (model.initial, True)
+        for action, _, obs in episode.steps:
+            prev, tracker = tracker, step_to(tracker, action, obs, model)
+            expected = _reference_step(expected, action, obs, model)
+            assert tracker == expected
+            if tracker.defined:  # the model's shared object for that step
+                assert step_to(prev, action, obs, model) is tracker
+            undefined += not tracker.defined
+    assert undefined > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_model_and_history(), alpha=st.sampled_from([0.1, 0.5, 1.0]),
+       gamma=st.sampled_from([0.0, 0.9, 0.99]))
+def test_replay_matches_a_replay_that_builds_every_key(case, alpha, gamma):
+    model, history = case
+    actions = ("x", "y", "z")
+    fast, reference = QTable(actions), QTable(actions)
+    replay(fast, model, history, alpha, gamma)
+    _reference_replay(reference, model, history, alpha, gamma)
+    assert list(fast._rows.items()) == list(reference._rows.items())
