@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .envs import Environment
-from .learn import LearnerConfig, run_ioalergia
+from .learn import LearnerConfig, observation_traces, run_ioalergia
 from .models import (
     DeterministicLabeledMdp,
     RewardObservationTrace,
@@ -388,7 +388,7 @@ def _learn_model(
     history: list[RewardObservationTrace], config: AgentConfig
 ) -> DeterministicLabeledMdp:
     return run_ioalergia(
-        [t.observation_part() for t in history], LearnerConfig(eps_al=config.eps_al)
+        observation_traces(history), LearnerConfig(eps_al=config.eps_al)
     )
 
 

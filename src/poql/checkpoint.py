@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
@@ -171,6 +172,24 @@ def load_model(path) -> tuple[DeterministicLabeledMdp, str]:
         return model_from_dict(data), data.get("config_hash", "")
 
 
+def write_text_atomic(path, text: str) -> None:
+    """Write `text` to `path` as `Path.write_text` would, through a temp file
+    in the same directory and `os.replace`.
+
+    A reader sees the previous file or the new one, never a truncated one. A
+    failed write removes its temp file; a killed process may leave one. There
+    is no fsync: this guards against interruption, not power loss.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(path, agent, exp_config: dict) -> None:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
@@ -178,22 +197,26 @@ def save_checkpoint(path, agent, exp_config: dict) -> None:
     # The action tuple rides along for reload; it is derived state, so it
     # stays outside the hash.
     exp_config = {**exp_config, "actions": list(agent.actions)}
-    (out / "config.json").write_text(
-        json.dumps({"config_hash": digest, **exp_config}, indent=2, sort_keys=True)
+    write_text_atomic(
+        out / "config.json",
+        json.dumps({"config_hash": digest, **exp_config}, indent=2, sort_keys=True),
     )
     if agent.model is not None:
-        (out / "model.json").write_text(
+        write_text_atomic(
+            out / "model.json",
             json.dumps(
                 {"config_hash": digest, **model_to_dict(agent.model)},
                 indent=2,
                 sort_keys=True,
-            )
+            ),
         )
-        (out / "model.dot").write_text(
-            dlmdp_to_dot(agent.model, comment=f"config_hash={digest}")
+        write_text_atomic(
+            out / "model.dot",
+            dlmdp_to_dot(agent.model, comment=f"config_hash={digest}"),
         )
     header = f"# config_hash={digest}\n"
-    (out / "qtable.txt").write_text(header + "\n".join(qtable_rows(agent.q)) + "\n")
+    rows = "\n".join(qtable_rows(agent.q))
+    write_text_atomic(out / "qtable.txt", header + rows + "\n")
     write_trace_file(agent.history, out / "traces.txt")
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .agent import AgentConfig, RandomAgent, _eval_row, baseline_obs_q, evaluate, train
 from .checkpoint import (ConfigError, config_hash, load_checkpoint, load_model,
-                         read_json_object, save_checkpoint)
+                         read_json_object, save_checkpoint, write_text_atomic)
 from .envs import Environment, make_environment
 from .models import dlmdp_to_dot
 
@@ -127,7 +127,7 @@ def cmd_train(args) -> int:
         "agent": config["agent"],
         "seed": config["seed"],
     }
-    (out / "run.json").write_text(json.dumps(run_meta, indent=2, sort_keys=True))
+    write_text_atomic(out / "run.json", json.dumps(run_meta, indent=2, sort_keys=True))
 
     started = time.perf_counter()
     log = print if not args.quiet else None
@@ -156,7 +156,7 @@ def cmd_train(args) -> int:
             "mean_return": final.get("mean_return"),
         },
     )
-    (out / "run.json").write_text(json.dumps(run_meta, indent=2, sort_keys=True))
+    write_text_atomic(out / "run.json", json.dumps(run_meta, indent=2, sort_keys=True))
     if not args.quiet:
         print(f"run complete: {out} (wall time {wall_time:.1f}s)")
     return 0

@@ -18,6 +18,10 @@ fire and a tail is compatible with anything. Above 2/e^2 the exact test runs
 at each step of the tail against the other side, so the learned model is
 the same as with a fully expanded tree at every eps_al.
 
+Edges are keyed by the traces' own (action, observation) pairs. The loaders
+(`observation_traces`) give equal pairs one shared tuple, which only makes
+the key lookups faster: results depend on key equality alone.
+
 A learning run mutates its own tree, so each invocation is single-threaded;
 the returned models are immutable.
 """
@@ -30,7 +34,13 @@ from math import log, sqrt
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .models import DeterministicLabeledMdp, ObsTrace, check_symbol, read_trace_file
+from .models import (
+    DeterministicLabeledMdp,
+    ObsTrace,
+    RewardObservationTrace,
+    check_symbol,
+    read_trace_file,
+)
 
 
 class InconsistentSample(ValueError):
@@ -78,25 +88,24 @@ class IofptaNode:
         self.steps = None
         self.children, self.freq, self.totals = {}, {}, {}
         if self.pos < len(steps):
-            action, obs = steps[self.pos]
-            key = (action, obs)
-            self.children[key] = IofptaNode(obs, steps, self.pos + 1)
+            key = steps[self.pos]
+            self.children[key] = IofptaNode(key[1], steps, self.pos + 1)
             self.freq[key] = 1
-            self.totals[action] = 1
+            self.totals[key[0]] = 1
 
 
 def _add_path(node: IofptaNode, steps: Sequence[tuple[str, str]], pos: int) -> None:
     """Add one count along steps[pos:] from node, expanding tails on the way
     and ending in a new tail where the tree has no matching child."""
     for pos in range(pos, len(steps)):
-        node.expand()
-        action, obs = steps[pos]
-        key = (action, obs)
+        if node.steps is not None:
+            node.expand()
+        key = steps[pos]
         node.freq[key] = node.freq.get(key, 0) + 1
-        node.totals[action] = node.totals.get(action, 0) + 1
+        node.totals[key[0]] = node.totals.get(key[0], 0) + 1
         child = node.children.get(key)
         if child is None:
-            node.children[key] = IofptaNode(obs, steps, pos + 1)
+            node.children[key] = IofptaNode(key[1], steps, pos + 1)
             return
         node = child
 
@@ -186,16 +195,47 @@ def compatible(r: IofptaNode, b: IofptaNode, eps_al: float) -> bool:
     bound_scale = _bound_scale(eps_al)
     if r.label != b.label:
         return False
-    return _compatible(r, b, bound_scale)
+    return _compatible(r, b, bound_scale, _tail_threshold(bound_scale))
 
 
-def _compatible(r: IofptaNode, b: IofptaNode, bound_scale: float) -> bool:
+def _tail_threshold(bound_scale: float) -> int | None:
+    """The least n at which a test against a tail can fire; None if none can.
+
+    The tail side has n=1, so the bound against n on the other side is
+    bound_scale * (1.0 / sqrt(n) + 1.0). That float expression never grows
+    with n, so a doubling and bisection search over the expression itself
+    finds where it first is at most 1: from there on it stays so.
+    """
+    if bound_scale >= 1.0:
+        return None
+
+    def fits(n: int) -> bool:
+        return bound_scale * (1.0 / sqrt(n) + 1.0) <= 1.0
+
+    hi = 1
+    while not fits(hi):
+        hi *= 2
+    lo = hi // 2  # 0, or an n that does not fit
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _compatible(
+    r: IofptaNode, b: IofptaNode, bound_scale: float, tail_min: int | None
+) -> bool:
     # Depth-first over the pairs of nodes reached by the same path from
     # (r, b), with an explicit stack of child iterators instead of recursion.
     stack = []
     while True:
         if r.steps is not None or b.steps is not None:
-            if bound_scale < 1.0 and not _tail_compatible(r, b, bound_scale):
+            if tail_min is not None and not _tail_compatible(
+                r, b, bound_scale, tail_min
+            ):
                 return False
         else:
             if not _node_compatible(r, b, bound_scale):
@@ -219,26 +259,45 @@ def _compatible(r: IofptaNode, b: IofptaNode, bound_scale: float) -> bool:
 
 
 def _node_compatible(r: IofptaNode, b: IofptaNode, bound_scale: float) -> bool:
-    """The Hoeffding test of every action of two expanded nodes."""
+    """The Hoeffding test of every action of two expanded nodes.
+
+    One pass over each side's edges tests every action whose bound is at most
+    1; a key only b has differs by its frequency on b's side.
+    """
+    tested = {}
     for action, n2 in b.totals.items():
         n1 = r.totals.get(action, 0)
-        if n1 == 0 or n2 == 0:
-            continue
-        bound = bound_scale * (1.0 / sqrt(n1) + 1.0 / sqrt(n2))
-        if bound <= 1.0:  # frequency differences never exceed 1
-            keys = {k for k in r.freq if k[0] == action}
-            keys.update(k for k in b.freq if k[0] == action)
-            for key in keys:
-                if abs(r.freq.get(key, 0) / n1 - b.freq.get(key, 0) / n2) >= bound:
-                    return False
+        if n1:
+            bound = bound_scale * (1.0 / sqrt(n1) + 1.0 / sqrt(n2))
+            if bound <= 1.0:  # frequency differences never exceed 1
+                tested[action] = (n1, n2, bound)
+    if not tested:
+        return True
+    r_freq, b_freq = r.freq, b.freq
+    for key, f1 in r_freq.items():
+        test = tested.get(key[0])
+        if test is not None:
+            n1, n2, bound = test
+            if abs(f1 / n1 - b_freq.get(key, 0) / n2) >= bound:
+                return False
+    for key, f2 in b_freq.items():
+        test = tested.get(key[0])
+        if test is not None and key not in r_freq and f2 / test[1] >= test[2]:
+            return False
     return True
 
 
-def _tail_compatible(r: IofptaNode, b: IofptaNode, bound_scale: float) -> bool:
+def _tail_compatible(
+    r: IofptaNode, b: IofptaNode, bound_scale: float, tail_min: int
+) -> bool:
     """Compatibility of a pair in which at least one node is a tail.
 
     Walks the tail along the other side. At each step the tail side has n=1,
     and the test is symmetric, so which side is the tail does not matter.
+    A frequency difference can reach a bound only if the bound is at most 1,
+    which is where the other side's n is at least tail_min. There the tail's
+    own key differs by 1 - f0/n, and every other key of the action by
+    f/n <= (n - f0)/n, so those are scanned only if (n - f0)/n can fail.
     """
     if b.steps is not None:
         tail, other = b, r
@@ -248,16 +307,17 @@ def _tail_compatible(r: IofptaNode, b: IofptaNode, bound_scale: float) -> bool:
     for pos in range(tail.pos, len(steps)):
         if other.steps is not None:
             return True  # two tails: every bound exceeds 1
-        action, obs = steps[pos]
-        key = (action, obs)
-        n = other.totals.get(action, 0)
-        if n:
+        key = steps[pos]
+        n = other.totals.get(key[0], 0)
+        if n >= tail_min:
             bound = bound_scale * (1.0 / sqrt(n) + 1.0)
-            if bound <= 1.0:
-                if key not in other.freq:
-                    return False  # a frequency difference of 1
+            f0 = other.freq.get(key)
+            if f0 is None or 1.0 - f0 / n >= bound:
+                return False
+            if (n - f0) / n >= bound:
+                action = key[0]
                 for k, f in other.freq.items():
-                    if k[0] == action and abs(f / n - (k == key)) >= bound:
+                    if k[0] == action and k != key and f / n >= bound:
                         return False
         other = other.children.get(key)
         if other is None:
@@ -377,6 +437,30 @@ def _first_blue_key(node: IofptaNode) -> tuple[str, str] | None:
     return best
 
 
+class _PairMemo(dict):
+    """Maps (action, reward, obs) steps to (action, obs) pairs, one tuple per
+    distinct pair; it lives for one call."""
+
+    __slots__ = ("_shared",)
+
+    def __init__(self) -> None:
+        self._shared: dict[tuple[str, str], tuple[str, str]] = {}
+
+    def __missing__(self, step: tuple[str, float, str]) -> tuple[str, str]:
+        pair = (step[0], step[2])
+        pair = self[step] = self._shared.setdefault(pair, pair)
+        return pair
+
+
+def observation_traces(episodes: Iterable[RewardObservationTrace]) -> list[ObsTrace]:
+    """The `observation_part` of each episode, with one shared tuple for all
+    equal (action, observation) pairs, which speeds up the learner's key
+    lookups. Each step costs one dict lookup; only a step unequal to all
+    before it builds a pair."""
+    pairs = _PairMemo().__getitem__
+    return [(t.initial_obs, tuple(map(pairs, t.steps))) for t in episodes]
+
+
 def observation_traces_from_file(path) -> list[ObsTrace]:
-    """Load a trace file, discarding the rewards."""
-    return [t.observation_part() for t in read_trace_file(path)]
+    """Load a trace file, discarding the rewards (see `observation_traces`)."""
+    return observation_traces(read_trace_file(path))

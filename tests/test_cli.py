@@ -424,6 +424,25 @@ def test_interrupted_run_leaves_incomplete_flag(tmp_path, monkeypatch):
     assert meta["status"] == "incomplete"
 
 
+def test_failed_replace_keeps_the_previous_run_json(tmp_path, monkeypatch):
+    import os
+
+    cfg = _config(tmp_path / "run", agent="random")
+    path = _write_config(tmp_path, "random.json", cfg)
+    assert main(["train", str(path), "--quiet"]) == 0
+    run_dir = tmp_path / "run"
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    assert json.loads(before["run.json"])["status"] == "complete"
+
+    def fail(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError):
+        main(["train", str(path), "--quiet", "--force"])
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+
 def test_relative_output_dir_uses_output_root(tmp_path, monkeypatch):
     monkeypatch.setenv("POQL_OUTPUT_ROOT", str(tmp_path / "root"))
     cfg = _config("nested/run", agent="random")

@@ -14,16 +14,22 @@ from poql.envs import hot_beverage_world, make_environment, sample_pomdp_traces
 from poql.learn import (
     InconsistentSample,
     LearnerConfig,
+    _bound_scale,
+    _tail_threshold,
     build_iofpta,
     compatible,
     hoeffding_compatible,
+    observation_traces,
+    observation_traces_from_file,
     run_ioalergia,
 )
 from poql.models import (
     RewardObservationTrace,
     label_determinism_violations,
+    read_trace_file,
     reset_to_initial,
     step_to,
+    write_trace_file,
 )
 
 
@@ -386,9 +392,6 @@ def test_learner_config_validation():
 
 
 def test_learner_ingests_trace_files_discarding_rewards(tmp_path):
-    from poql.learn import observation_traces_from_file
-    from poql.models import RewardObservationTrace, write_trace_file
-
     episodes = [
         RewardObservationTrace("a", 0.0, (("go", 5.0, "b"), ("go", -1.0, "a"))),
         RewardObservationTrace("a", 2.0, (("go", 0.0, "b"),)),
@@ -402,6 +405,23 @@ def test_learner_ingests_trace_files_discarding_rewards(tmp_path):
     ]
     model = run_ioalergia(traces)
     assert {model.label[s] for s in model.states} == {"a", "b"}
+
+
+def test_trace_files_load_with_one_tuple_per_distinct_pair(tmp_path):
+    episodes = [
+        RewardObservationTrace("a", 0.0, (("go", 5.0, "b"), ("go", -1.0, "a"))),
+        RewardObservationTrace("a", 2.0, (("go", 0.0, "b"), ("go", -1.0, "a"))),
+    ]
+    path = tmp_path / "episodes.txt"
+    write_trace_file(episodes, path)
+    traces = observation_traces_from_file(path)
+    assert traces == [t.observation_part() for t in read_trace_file(path)]
+    (_, first), (_, second) = traces
+    assert first[0] is second[0]  # ("go", "b") after rewards 5.0 and 0.0
+    assert first[1] is second[1]
+    for text in ("", "\n  \n\n"):
+        path.write_text(text)
+        assert observation_traces_from_file(path) == []
 
 
 def test_learned_models_satisfy_label_determinism():
@@ -454,6 +474,216 @@ def test_iofpta_edge_mass_counts_every_step(traces):
 @given(traces=_samples(), eps_al=_EPS_AL)
 def test_learned_model_conserves_mass_and_replays_its_sample(traces, eps_al):
     _assert_sample_replays(traces, run_ioalergia(traces, LearnerConfig(eps_al)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(traces=_samples(), eps_al=_EPS_AL)
+def test_learned_model_does_not_depend_on_key_identity(traces, eps_al):
+    shared: dict = {}
+    one_tuple_per_pair = [
+        (init, tuple(shared.setdefault(step, step) for step in steps))
+        for init, steps in traces
+    ]
+    fresh_tuples = [(init, tuple((a, o) for a, o in steps)) for init, steps in traces]
+    steps = [step for _, trace_steps in fresh_tuples for step in trace_steps]
+    assert len({id(step) for step in steps}) == len(steps)
+    config = LearnerConfig(eps_al)
+    shared_model = run_ioalergia(one_tuple_per_pair, config)
+    fresh_model = run_ioalergia(fresh_tuples, config)
+    assert model_to_dict(shared_model) == model_to_dict(fresh_model)
+    assert list(shared_model.counts.items()) == list(fresh_model.counts.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from(["a", "b"]),
+    st.lists(st.tuples(st.sampled_from(["x", "y"]), st.sampled_from([0.0, -0.0, 1.0]),
+                       st.sampled_from(["a", "b", "c"])), max_size=8),
+), max_size=6))
+def test_observation_traces_share_one_tuple_per_pair(episodes):
+    history = [RewardObservationTrace(init, 0.0, tuple(steps))
+               for init, steps in episodes]
+    traces = observation_traces(history)
+    assert traces == [t.observation_part() for t in history]
+    first: dict = {}
+    for _, steps in traces:
+        for pair in steps:
+            assert first.setdefault(pair, pair) is pair
+
+
+# ---------------------------------------------------------------------------
+# compatible against the per-key test it replaced
+# ---------------------------------------------------------------------------
+
+_TWO_OVER_E2 = 2 / math.e**2
+
+
+def _reference_compatible(r, b, eps_al):
+    """compatible as first written for compressed tails: a key set per tested
+    action of two expanded nodes, and at every tail step with a bound of at
+    most 1 a scan over all keys of the other side."""
+    scale = math.sqrt(0.5 * math.log(2.0 / eps_al))
+    if r.label != b.label:
+        return False
+    pairs = [(r, b)]
+    while pairs:
+        r, b = pairs.pop()
+        if r.steps is not None or b.steps is not None:
+            if scale < 1.0 and not _reference_tail_compatible(r, b, scale):
+                return False
+            continue
+        for action, n2 in b.totals.items():
+            n1 = r.totals.get(action, 0)
+            if n1 == 0 or n2 == 0:
+                continue
+            bound = scale * (1.0 / math.sqrt(n1) + 1.0 / math.sqrt(n2))
+            if bound <= 1.0:
+                keys = {k for k in r.freq if k[0] == action}
+                keys.update(k for k in b.freq if k[0] == action)
+                for key in keys:
+                    if abs(r.freq.get(key, 0) / n1 - b.freq.get(key, 0) / n2) >= bound:
+                        return False
+        for key, b_child in b.children.items():
+            r_child = r.children.get(key)
+            if r_child is not None and r_child is not b_child:
+                if r_child.label != b_child.label:
+                    return False
+                pairs.append((r_child, b_child))
+    return True
+
+
+def _reference_tail_compatible(r, b, scale):
+    tail, other = (b, r) if b.steps is not None else (r, b)
+    steps = tail.steps
+    for pos in range(tail.pos, len(steps)):
+        if other.steps is not None:
+            return True
+        action, obs = steps[pos]
+        key = (action, obs)
+        n = other.totals.get(action, 0)
+        if n:
+            bound = scale * (1.0 / math.sqrt(n) + 1.0)
+            if bound <= 1.0:
+                if key not in other.freq:
+                    return False
+                for k, f in other.freq.items():
+                    if k[0] == action and abs(f / n - (k == key)) >= bound:
+                        return False
+        other = other.children.get(key)
+        if other is None:
+            return True
+    return True
+
+
+# Above 2/e^2 a tail's bound reaches 1 from n = 3 (eps_al 1) to n = 40
+# (eps_al 0.45); next to 2/e^2 that n is out of reach, and at and below it
+# no tail bound reaches 1.
+_EPS_AL_AROUND_TAIL_LIMIT = st.one_of(
+    st.floats(0.001, 0.27),
+    st.floats(0.45, 1.0),
+    st.sampled_from([math.nextafter(_TWO_OVER_E2, 0.0), _TWO_OVER_E2,
+                     math.nextafter(_TWO_OVER_E2, 1.0), 0.3]),
+)
+
+
+def _first_tail_n(eps_al, cap=40):
+    """The least n <= cap whose tail bound is at most 1, else cap."""
+    scale = math.sqrt(0.5 * math.log(2.0 / eps_al))
+    return next((n for n in range(1, cap + 1)
+                 if scale * (1.0 / math.sqrt(n) + 1.0) <= 1.0), cap)
+
+
+@st.composite
+def _tail_cases(draw):
+    """eps_al, a sample of traces repeated about as often as the n where a
+    tail's bound reaches 1, so that node counts fall on both sides of it, and
+    a sample of single traces, whose tree is mostly tails."""
+    eps_al = draw(_EPS_AL_AROUND_TAIL_LIMIT)
+    around = _first_tail_n(eps_al)
+    bases = draw(st.lists(st.lists(_STEPS, min_size=1, max_size=8),
+                          min_size=1, max_size=4))
+    repeated = []
+    for base in bases:
+        count = draw(st.integers(max(1, around - 3), around + 3))
+        repeated += [("a", tuple(base))] * count
+    singles = [("a", tuple(steps)) for steps in draw(
+        st.lists(st.lists(_STEPS, min_size=1, max_size=8), min_size=1, max_size=6))]
+    return eps_al, repeated, singles
+
+
+def _first_nodes(tree, limit=16):
+    nodes, queue = [], [tree.root]
+    while queue and len(nodes) < limit:
+        node = queue.pop(0)
+        nodes.append(node)
+        queue.extend(node.children.values())
+    return nodes
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_tail_cases())
+def test_compatible_matches_the_per_key_test(case):
+    eps_al, repeated, singles = case
+    nodes = _first_nodes(build_iofpta(repeated)) + _first_nodes(build_iofpta(singles))
+    for r in nodes:
+        for b in nodes:
+            assert compatible(r, b, eps_al) == _reference_compatible(r, b, eps_al)
+
+
+def _least_eps_al_with_tail_bound_at_most(high, n):
+    """The least float eps_al above 2/e^2 whose tail bound against n is at
+    most high; the bound falls as eps_al grows."""
+    def bound(eps_al):
+        return _bound_scale(eps_al) * (1.0 / math.sqrt(n) + 1.0)
+
+    lo, hi = math.nextafter(_TWO_OVER_E2, 1.0), 1.0
+    while math.nextafter(lo, 1.0) < hi:
+        mid = (lo + hi) / 2
+        if bound(mid) > high:
+            lo = mid
+        else:
+            hi = mid
+    return hi, bound(hi)
+
+
+def test_compatible_keeps_the_float_rounding_of_the_per_key_test():
+    """Where 1 - f0/n and (n - f0)/n round apart and the bound falls between
+    them, the own key's 1 - f0/n and the other key's f/n decide."""
+    tree = build_iofpta([_trace("a", ("y", "a"), ("x", "b"))])
+    tail = tree.root.children[("y", "a")]
+    decided_by = set()
+    for n in range(2, 41):
+        for f0 in range(1, n):
+            own, rest = 1.0 - f0 / n, (n - f0) / n
+            if own == rest:
+                continue
+            eps_al, bound = _least_eps_al_with_tail_bound_at_most(max(own, rest), n)
+            if not min(own, rest) < bound <= max(own, rest):
+                continue
+            other = build_iofpta([_trace("a", ("x", "b"))] * f0
+                                 + [_trace("a", ("x", "c"))] * (n - f0)).root
+            assert not _reference_compatible(other, tail, eps_al)
+            assert not compatible(other, tail, eps_al)
+            assert not compatible(tail, other, eps_al)
+            decided_by.add("other key" if rest > own else "own key")
+    assert decided_by == {"own key", "other key"}
+
+
+@given(eps_al=st.one_of(
+    st.floats(_TWO_OVER_E2, 1.0, exclude_min=True),
+    st.floats(_TWO_OVER_E2 * (1 - 1e-12), _TWO_OVER_E2 * (1 + 1e-9)),
+))
+def test_tail_threshold_is_the_first_n_whose_tail_bound_is_at_most_one(eps_al):
+    scale = _bound_scale(eps_al)
+    n = _tail_threshold(scale)
+    if scale >= 1.0:
+        assert n is None
+        return
+
+    def fits(m):
+        return scale * (1.0 / math.sqrt(m) + 1.0) <= 1.0
+
+    assert fits(n) and (n == 1 or not fits(n - 1))
 
 
 # ---------------------------------------------------------------------------
