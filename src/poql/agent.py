@@ -26,7 +26,6 @@ from .models import (
     DeterministicLabeledMdp,
     RewardObservationTrace,
     TrackerState,
-    discounted_return,
     reset_to_initial,
     step_to,
 )
@@ -350,20 +349,30 @@ def evaluate(agent, env: Environment, n_episodes: int, seed: int | str) -> EvalS
     """Run greedy episodes and report goal rate, steps, and discounted return.
 
     mean_steps averages the step counts of successful episodes and is rounded
-    to the closest integer (None when no episode reached the goal).
+    to the closest integer (None when no episode reached the goal). Each
+    episode's return is summed in one pass over the steps `run_episode`
+    returns, with the float operations of `discounted_return(rewards, 0,
+    agent.gamma)` in the same order; gamma must lie in [0, 1].
     """
     if n_episodes < 1:
         raise ValueError("n_episodes must be at least 1")
+    gamma = agent.gamma
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
     env.reseed(f"{seed}|env")
     rng = random.Random(f"{seed}|ties")
     success_steps: list[int] = []
     returns: list[float] = []
     for _ in range(n_episodes):
-        _, reward, steps = run_episode(env, agent, rng)
+        steps = run_episode(env, agent, rng)[2]
         if env.goal_reached:
             success_steps.append(env.step_count)
-        rewards = [reward] + [r for _, r, _ in steps]
-        returns.append(discounted_return(rewards, 0, agent.gamma))
+        total = 0.0
+        factor = 1.0
+        for _, r, _ in steps:
+            total += factor * r
+            factor *= gamma
+        returns.append(total)
     successes = len(success_steps)
     exact = sum(success_steps) / successes if successes else None
     return EvalStats(

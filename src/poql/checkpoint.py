@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +22,7 @@ from pathlib import Path
 from .agent import AgentConfig, BaselineAgent, ExtendedState, PoqlAgent, QTable
 from .models import (
     DeterministicLabeledMdp,
+    atomic_open,
     check_symbol,
     dlmdp_to_dot,
     read_trace_file,
@@ -139,7 +139,8 @@ def qtable_from_rows(lines: list[str], actions: tuple[str, ...]) -> QTable:
 
 
 class ConfigError(ValueError):
-    """An unusable input (config, flag or run file); the message names the file."""
+    """An unusable input (config, flag or run file) or an output that cannot be
+    written; the message names the file."""
 
 
 @contextmanager
@@ -172,27 +173,28 @@ def load_model(path) -> tuple[DeterministicLabeledMdp, str]:
         return model_from_dict(data), data.get("config_hash", "")
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write `text` to `path` as `Path.write_text` would, through a temp file
-    in the same directory and `os.replace`.
-
-    A reader sees the previous file or the new one, never a truncated one. A
-    failed write removes its temp file; a killed process may leave one. There
-    is no fsync: this guards against interruption, not power loss.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp")
+@contextmanager
+def _writing(path):
+    """Re-raise a failure to write `path` as a ConfigError naming it."""
     try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        yield
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write `text` to `path` as `Path.write_text` would, replacing the file
+    atomically (see `atomic_open`); a failure raises ConfigError naming `path`."""
+    with _writing(path), atomic_open(path) as fh:
+        fh.write(text)
 
 
 def save_checkpoint(path, agent, exp_config: dict) -> None:
+    """Write the checkpoint files, each replaced atomically; a failed write
+    raises ConfigError naming the file."""
     out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
     digest = config_hash(exp_config)
     # The action tuple rides along for reload; it is derived state, so it
     # stays outside the hash.
@@ -217,7 +219,9 @@ def save_checkpoint(path, agent, exp_config: dict) -> None:
     header = f"# config_hash={digest}\n"
     rows = "\n".join(qtable_rows(agent.q))
     write_text_atomic(out / "qtable.txt", header + rows + "\n")
-    write_trace_file(agent.history, out / "traces.txt")
+    traces_path = out / "traces.txt"
+    with _writing(traces_path):
+        write_trace_file(agent.history, traces_path)
 
 
 def load_checkpoint(path):

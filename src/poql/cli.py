@@ -20,14 +20,14 @@ import os
 import subprocess
 import sys
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 from .agent import AgentConfig, RandomAgent, _eval_row, baseline_obs_q, evaluate, train
-from .checkpoint import (ConfigError, config_hash, load_checkpoint, load_model,
-                         read_json_object, save_checkpoint, write_text_atomic)
+from .checkpoint import (ConfigError, _writing, config_hash, load_checkpoint,
+                         load_model, read_json_object, save_checkpoint,
+                         write_text_atomic)
 from .envs import Environment, make_environment
-from .models import dlmdp_to_dot
+from .models import atomic_open, dlmdp_to_dot
 
 SCHEMA_VERSION = 1
 AGENT_KINDS = ("poql", "obs_baseline", "random")
@@ -80,15 +80,6 @@ def build_environment(config: dict, seed: int | str) -> Environment:
         raise ConfigError(f"invalid environment: {exc}") from exc
 
 
-@contextmanager
-def _writing(path):
-    """Re-raise a failure to write `path` as a ConfigError naming it."""
-    try:
-        yield
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
-
-
 def resolve_output_dir(config: dict) -> Path:
     out = Path(config["output_dir"])
     if not out.is_absolute():
@@ -99,7 +90,8 @@ def resolve_output_dir(config: dict) -> Path:
 
 
 def _write_run_record(path: Path, rows: list[dict], digest: str) -> None:
-    with open(path, "w", newline="") as fh:
+    """Write the evaluation rows as CSV, replacing `path` atomically."""
+    with _writing(path), atomic_open(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=RUN_RECORD_COLUMNS)
         writer.writeheader()
         for row in rows:

@@ -7,12 +7,15 @@ and safe to share across threads.
 
 from __future__ import annotations
 
+import os
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import copysign
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from pathlib import Path
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 #: Tolerance used when asserting that a probability distribution sums to 1.
 PROB_SUM_TOL = 1e-9
@@ -331,40 +334,67 @@ def _parse_step(chunk: str) -> tuple[str, float, str]:
     return (check_symbol(fields[0]), float(fields[1]), check_symbol(fields[2]))
 
 
-def parse_trace(
-    line: str, memo: dict[str, tuple[str, float, str]] | None = None
-) -> RewardObservationTrace:
+class _StepMemo(dict):
+    """`action:reward:obs` chunk -> parsed step; a missing chunk is parsed,
+    checked and stored on lookup, so it enters only after the full check."""
+
+    __slots__ = ()
+
+    def __missing__(self, chunk: str) -> tuple[str, float, str]:
+        step = self[chunk] = _parse_step(chunk)
+        return step
+
+
+def parse_trace(line: str, memo: _StepMemo | None = None) -> RewardObservationTrace:
     """Parse one line of the trace file into an episode.
 
-    `memo` maps `action:reward:obs` chunks to their parsed steps, so a caller
-    parsing many lines (`read_trace_file`) checks and converts each distinct
-    chunk once, and equal steps share one tuple. A chunk enters it only after
-    the full check. Distinct strings are distinct keys, so `-0.0` and `0.0`
-    never share an entry.
+    `memo` maps step chunks to their parsed steps, so a caller parsing many
+    lines (`read_trace_file`) checks and converts each distinct chunk once,
+    and equal steps share one tuple. The steps are looked up in one `map`
+    over the chunks; a chunk seen for the first time is parsed by the memo
+    itself. Distinct strings are distinct keys, so `-0.0` and `0.0` never
+    share an entry.
     """
     chunks = line.strip().split(";")
     head = chunks[0].split(":")
     if len(head) != 2:
         raise ValueError(f"malformed trace head {chunks[0]!r}")
     if memo is None:
-        memo = {}
-    steps = []
-    for chunk in chunks[1:]:
-        step = memo.get(chunk)
-        if step is None:
-            step = memo[chunk] = _parse_step(chunk)
-        steps.append(step)
-    return RewardObservationTrace(check_symbol(head[0]), float(head[1]), tuple(steps))
+        memo = _StepMemo()
+    steps = tuple(map(memo.__getitem__, chunks[1:]))
+    return RewardObservationTrace(check_symbol(head[0]), float(head[1]), steps)
+
+
+@contextmanager
+def atomic_open(path, **kwargs) -> Iterator[TextIO]:
+    """Open a text file for writing whose contents replace `path` only when
+    the block ends cleanly. `kwargs` go to `open`.
+
+    The data goes to `.<name>.tmp` in the same directory, then `os.replace`
+    moves it over `path`, so a reader sees the previous file or the new one,
+    never a truncated one. A failed write removes its temp file; a killed
+    process may leave one. There is no fsync: this guards against
+    interruption, not power loss.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_trace_file(traces: Iterable[RewardObservationTrace], path) -> None:
     """Write one episode per line in the `obs:reward(;action:reward:obs)*` format.
 
     Each distinct step is checked and formatted once per file (see
-    `format_trace`).
+    `format_trace`). The file is replaced atomically (see `atomic_open`).
     """
     memo: dict[tuple, str] = {}
-    with open(path, "w", encoding="ascii") as fh:
+    with atomic_open(path, encoding="ascii") as fh:
         for trace in traces:
             fh.write(format_trace(trace, memo))
             fh.write("\n")
@@ -373,12 +403,13 @@ def write_trace_file(traces: Iterable[RewardObservationTrace], path) -> None:
 def read_trace_file(path) -> list[RewardObservationTrace]:
     """Read a trace file written by `write_trace_file`, skipping blank lines.
 
-    Each distinct step chunk is checked and converted once per file, and
-    equal steps share one tuple (see `parse_trace`). A malformed line raises
-    `ValueError` prefixed with `<path>:<line>:`; bytes that are not ASCII
-    raise `ValueError` prefixed with `<path>:`.
+    Each line goes through one `parse_trace` call with a memo shared by the
+    whole file, so each distinct step chunk is checked and converted once
+    and equal steps share one tuple. A malformed line raises `ValueError`
+    prefixed with `<path>:<line>:`; bytes that are not ASCII raise
+    `ValueError` prefixed with `<path>:`.
     """
-    memo: dict[str, tuple[str, float, str]] = {}
+    memo = _StepMemo()
     traces = []
     try:
         with open(path, "r", encoding="ascii") as fh:

@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 from collections import Counter
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import poql.agent as agent_mod
 from poql.agent import (
     AgentConfig,
+    EvalStats,
     ExtendedState,
     PoqlAgent,
     QTable,
@@ -17,6 +19,7 @@ from poql.agent import (
     evaluate,
     get_action,
     replay,
+    round_steps,
     run_episode,
     train,
     update_q_values,
@@ -344,26 +347,38 @@ def test_evaluate_reports_rounded_steps(trained_beverage):
     assert stats.mean_steps == int(math.floor(stats.mean_steps_exact + 0.5))
 
 
-def test_evaluate_mean_return_matches_discounted_return(trained_beverage):
-    """Recompute the evaluation returns from an identical rollout."""
-    agent, env = trained_beverage
-    stats = evaluate(agent, env, 20, seed=42)
-
-    env.reseed("42|env")
-    rng = random.Random("42|ties")
-    returns = []
-    for _ in range(20):
-        obs, r = env.reset()
+def _reference_evaluate(agent, env, n_episodes, seed) -> EvalStats:
+    """`evaluate` spelled out: an explicit greedy rollout that keeps every
+    episode's rewards list and scores it with `discounted_return`."""
+    env.reseed(f"{seed}|env")
+    rng = random.Random(f"{seed}|ties")
+    success_steps, returns = [], []
+    for _ in range(n_episodes):
+        obs, reward = env.reset()
         key = agent.begin_episode(obs)
-        rewards = [r]
+        rewards = [reward]
         done = False
         while not done:
-            a = agent.choose(key, 0.0, rng)
-            obs, r, done = env.step(a)
-            key = agent.observe(a, obs)
-            rewards.append(r)
+            action = agent.choose(key, 0.0, rng)
+            obs, reward, done = env.step(action)
+            key = agent.observe(action, obs)
+            rewards.append(reward)
+        if env.goal_reached:
+            success_steps.append(env.step_count)
         returns.append(discounted_return(rewards, 0, agent.gamma))
-    assert stats.mean_return == pytest.approx(sum(returns) / 20)
+    exact = sum(success_steps) / len(success_steps) if success_steps else None
+    return EvalStats(
+        goal_rate=len(success_steps) / n_episodes,
+        mean_steps=round_steps(exact) if exact is not None else None,
+        mean_return=sum(returns) / n_episodes,
+        mean_steps_exact=exact,
+    )
+
+
+def test_evaluate_mean_return_matches_discounted_return(trained_beverage):
+    """Recompute the evaluation from an identical rollout."""
+    agent, env = trained_beverage
+    assert evaluate(agent, env, 20, seed=42) == _reference_evaluate(agent, env, 20, 42)
 
 
 def test_evaluate_oracle_policy_matches_shortest_path():
@@ -431,6 +446,50 @@ def test_evaluate_mean_steps_none_without_successes():
     stats = evaluate(RepeatActionAgent("up"), env, 10, seed=3)
     assert stats.goal_rate == 0.0
     assert stats.mean_steps is None and stats.mean_steps_exact is None
+
+
+def test_evaluate_rejects_gamma_outside_the_unit_interval():
+    env = make_environment("thinmaze", seed=0)
+    for gamma in (1.5, -0.1, math.nan):
+        with pytest.raises(ValueError, match="gamma must be in"):
+            evaluate(RepeatActionAgent("up", gamma=gamma), env, 3, seed=0)
+
+
+EVAL_ENVS = ("hot_beverage", "gravity", "confusing_officeworld")
+
+
+@pytest.fixture(scope="module")
+def eval_agents():
+    """Per environment: the environment, a short-trained poql agent and a
+    short-trained baseline."""
+    config = _quick_config(max_episodes=200, update_interval=100, eval_every=200,
+                           epsilon_decay_episodes=100)
+    agents = {}
+    for name in EVAL_ENVS:
+        env = make_environment(name, seed=1)
+        agents[name] = (env, train(env, config, seed=1), baseline_obs_q(env, config, seed=1))
+    return agents
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "baseline", "poql"]),
+    env_name=st.sampled_from(EVAL_ENVS),
+    gamma=st.sampled_from([0.0, 0.5, 0.99, 1.0]),
+    n_episodes=st.integers(1, 6),
+    seed=st.integers(0, 10**6),
+)
+def test_evaluate_matches_the_rewards_list_reference(
+    eval_agents, kind, env_name, gamma, n_episodes, seed
+):
+    env, poql_agent, baseline = eval_agents[env_name]
+    if kind == "random":
+        agent = RandomAgent(env.actions, gamma=gamma)
+    else:
+        agent = copy.copy(poql_agent if kind == "poql" else baseline)
+        agent.gamma = gamma
+    assert evaluate(agent, env, n_episodes, seed) == _reference_evaluate(
+        agent, env, n_episodes, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
+import string
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from poql.beliefs import build_belief_mdp
 from poql.checkpoint import (
@@ -41,6 +43,38 @@ def test_qtable_rows_roundtrip_exact_floats():
     assert all(len(r.split(",")) == 5 for r in rows)
     back = qtable_from_rows(rows, ("coin", "button"))
     assert back._rows == q._rows
+
+
+_names = st.text(alphabet=string.ascii_letters + string.digits + "_-.", min_size=1, max_size=4)
+_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1e300, float("inf"), float("-inf")]),
+    st.floats(allow_nan=False),
+)
+
+
+@st.composite
+def _qtables(draw):
+    """Q-tables over extended and raw-observation keys with extreme values."""
+    actions = tuple(draw(st.lists(_names, min_size=1, max_size=4, unique=True)))
+    keys = st.one_of(
+        st.builds(ExtendedState, _names, st.integers(-10**9, 10**9), st.booleans()),
+        _names,
+    )
+    rows = draw(st.dictionaries(keys, st.lists(_values, min_size=len(actions),
+                                               max_size=len(actions)), max_size=6))
+    q = QTable(actions)
+    q._rows.update(rows)
+    return q
+
+
+@given(_qtables())
+def test_qtable_rows_roundtrip_property(q):
+    rows = qtable_rows(q)
+    back = qtable_from_rows(rows, q.actions)
+    assert {k: list(map(repr, v)) for k, v in back._rows.items()} == {
+        k: list(map(repr, v)) for k, v in q._rows.items()}
+    assert qtable_rows(back) == rows
 
 
 def test_qtable_from_rows_skips_comments_and_numbers_bad_rows():

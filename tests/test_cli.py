@@ -424,7 +424,7 @@ def test_interrupted_run_leaves_incomplete_flag(tmp_path, monkeypatch):
     assert meta["status"] == "incomplete"
 
 
-def test_failed_replace_keeps_the_previous_run_json(tmp_path, monkeypatch):
+def test_failed_replace_keeps_the_previous_run_json(tmp_path, monkeypatch, capsys):
     import os
 
     cfg = _config(tmp_path / "run", agent="random")
@@ -438,9 +438,43 @@ def test_failed_replace_keeps_the_previous_run_json(tmp_path, monkeypatch):
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(os, "replace", fail)
-    with pytest.raises(OSError):
-        main(["train", str(path), "--quiet", "--force"])
+    capsys.readouterr()
+    assert main(["train", str(path), "--quiet", "--force"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {run_dir / 'run.json'}: No space left on device\n"
     assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+
+@pytest.mark.parametrize("artifact", ["config.json", "model.json", "model.dot",
+                                      "qtable.txt", "traces.txt", "run_record.csv"])
+def test_failed_artifact_replace_is_one_error_line(tmp_path, monkeypatch, capsys, artifact):
+    """A rerun whose replace of one artifact fails names that artifact in one
+    `error:` line, keeps its previous bytes and leaves no temp file."""
+    import os
+
+    cfg = _config(tmp_path / "run", max_episodes=60, bootstrap_episodes=10,
+                  update_interval=30, eval_every=30, eval_episodes=5)
+    path = _write_config(tmp_path, "poql.json", cfg)
+    assert main(["train", str(path), "--quiet"]) == 0
+    run_dir = tmp_path / "run"
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    replace = os.replace
+
+    def fail_on_artifact(src, dst):
+        if os.path.basename(dst) == artifact:
+            raise OSError(28, "No space left on device")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail_on_artifact)
+    capsys.readouterr()
+    assert main(["train", str(path), "--quiet", "--force"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {run_dir / artifact}: No space left on device\n"
+    after = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    assert set(after) == set(before)
+    assert json.loads(after.pop("run.json"))["status"] == "incomplete"
+    before.pop("run.json")
+    assert after == before
 
 
 def test_relative_output_dir_uses_output_root(tmp_path, monkeypatch):
@@ -539,3 +573,38 @@ def test_train_artifacts_match_golden_digests(tmp_path, agent, env_name):
     path = _write_config(tmp_path, "golden.json", cfg)
     assert main(["train", str(path), "--quiet"]) == 0
     assert _artifact_digests(tmp_path / "run") == GOLDEN_ARTIFACTS[(agent, env_name)]
+
+
+# The stdout of `poql eval <run> --episodes 200 --seed 3` on small checkpoints
+# trained at seed 7, recorded before `evaluate` scored each episode in one pass
+# and before `parse_trace` looked steps up through one `map`.
+GOLDEN_EVAL_OVERRIDES = {
+    ("poql", "hot_beverage"): {},
+    ("poql", "confusing_officeworld"): dict(max_episodes=2000, bootstrap_episodes=200,
+                                            update_interval=500, eval_every=1000,
+                                            epsilon_decay_episodes=1000),
+    ("obs_baseline", "gravity"): dict(max_episodes=1000, eval_every=500,
+                                      epsilon_decay_episodes=500),
+}
+GOLDEN_EVAL_STDOUT = {
+    ("poql", "hot_beverage"):
+        '{"agent": "poql", "environment": "hot_beverage", "episodes": 200, '
+        '"goal_rate": 1.0, "mean_return": 93.23482464695533, "mean_steps": 8}\n',
+    ("poql", "confusing_officeworld"):
+        '{"agent": "poql", "environment": "confusing_officeworld", "episodes": 200, '
+        '"goal_rate": 1.0, "mean_return": 92.95058964616372, "mean_steps": 8}\n',
+    ("obs_baseline", "gravity"):
+        '{"agent": "obs_baseline", "environment": "gravity", "episodes": 200, '
+        '"goal_rate": 0.565, "mean_return": 32.990393030965116, "mean_steps": 57}\n',
+}
+
+
+@pytest.mark.parametrize("agent,env_name", sorted(GOLDEN_EVAL_STDOUT))
+def test_eval_stdout_matches_golden(tmp_path, capsys, agent, env_name):
+    cfg = _config(tmp_path / "run", agent=agent, env_name=env_name,
+                  **GOLDEN_EVAL_OVERRIDES[(agent, env_name)])
+    path = _write_config(tmp_path, "golden.json", cfg)
+    assert main(["train", str(path), "--quiet"]) == 0
+    capsys.readouterr()
+    assert main(["eval", str(tmp_path / "run"), "--episodes", "200", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == GOLDEN_EVAL_STDOUT[(agent, env_name)]

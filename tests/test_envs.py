@@ -3,6 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from poql.beliefs import optimal_expected_steps
 from poql.envs import (
@@ -330,3 +331,24 @@ def test_environment_reseed_replays_episode():
     env.reset()
     second = [env.step("up") for _ in range(10)]
     assert first == second
+
+
+_glyphs = st.sampled_from(list("#.SGT0123456789?x \t"))
+_layouts = st.one_of(
+    # Rectangles of grid glyphs, so that many layouts parse.
+    st.integers(1, 5).flatmap(lambda width: st.lists(
+        st.lists(_glyphs, min_size=width, max_size=width).map("".join),
+        max_size=5)).map("\n".join),
+    st.text(alphabet=st.sampled_from(list("#.SGT19?\n\r \x0b\x1c\u2028\u00b2\u0663")),
+            max_size=30),
+    st.text(max_size=20),
+)
+
+
+@given(_layouts)
+def test_grid_from_text_succeeds_or_raises_value_error(text):
+    try:
+        spec = GridSpec.from_text(text)
+    except ValueError:
+        return
+    assert spec.start in spec.cells and spec.goal in spec.cells

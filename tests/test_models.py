@@ -213,6 +213,31 @@ def test_trace_file_keeps_the_sign_of_zero(tmp_path):
             repr(x), repr(x), repr(y), repr(y), repr(y), repr(x)]
 
 
+def test_write_trace_file_keeps_the_previous_file_on_failure(tmp_path, monkeypatch):
+    """A write that fails midway or at the replace keeps the previous bytes
+    and leaves no temp file."""
+    import os
+
+    path = tmp_path / "traces.txt"
+    good = [RewardObservationTrace("a", 0.0, (("go", 1.0, "b"),))]
+    write_trace_file(good, path)
+    before = path.read_bytes()
+    bad = RewardObservationTrace("a", 0.0, (("go", 1.0, "b c"),))
+    with pytest.raises(ValueError, match="invalid symbol"):
+        write_trace_file([*good, *good, bad], path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["traces.txt"]
+
+    def fail(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError):
+        write_trace_file(good * 3, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["traces.txt"]
+
+
 _SYMBOL_CHARS = "".join(c for c in map(chr, range(33, 127)) if c not in ";:,|")
 _symbols = st.text(alphabet=_SYMBOL_CHARS, min_size=1, max_size=3)
 _rewards = st.one_of(
