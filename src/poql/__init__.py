@@ -58,7 +58,6 @@ from .models import (
     discounted_return,
     dlmdp_to_dot,
     isomorphic,
-    observation_trace,
     read_trace_file,
     reset_to_initial,
     step_to,

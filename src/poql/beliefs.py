@@ -37,9 +37,6 @@ class Belief:
         if abs(float(total) - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"belief sums to {float(total)!r}, not 1")
 
-    def prob(self, state: int) -> Prob:
-        return self.support.get(state, 0)
-
     def items(self):
         return sorted(self.support.items())
 
@@ -116,14 +113,12 @@ class BeliefMdp:
         )
 
 
-def build_belief_mdp(
-    pomdp: Pomdp, max_states: int = 10_000, prob_floor: float = 0.0
-) -> BeliefMdp:
+def build_belief_mdp(pomdp: Pomdp, max_states: int = 10_000) -> BeliefMdp:
     """Breadth-first closure of the beliefs reachable from {s0 -> 1}.
 
     Beliefs equal within 1e-9 (exactly, for rational inputs) are identified.
-    Expansion branches with probability <= prob_floor are dropped and the
-    remaining branches renormalized. A state is only expanded if all its
+    Branches of probability 0 are dropped; float branch probabilities are
+    renormalized to sum to 1. A state is only expanded if all its
     successor beliefs fit within max_states; otherwise it becomes absorbing
     and the result is flagged truncated.
     """
@@ -149,11 +144,9 @@ def build_belief_mdp(
             branches: list[tuple[Belief, Prob]] = []
             for obs in pomdp.observations:
                 p = observation_probability(b, a, obs, pomdp)
-                if p > prob_floor:
+                if p > 0:
                     branches.append((belief_update(b, a, obs, pomdp), p))
             kept = sum(p for _, p in branches)
-            if kept == 0:
-                continue
             if float(kept) != 1.0:
                 branches = [(nb, p / kept) for nb, p in branches]
             outgoing.append((a, branches))

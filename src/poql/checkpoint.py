@@ -45,22 +45,17 @@ def config_hash(config: dict) -> str:
 
 
 def model_to_dict(model: DeterministicLabeledMdp) -> dict:
+    """The `model.json` encoding of a learned model: every transition as an
+    integer edge `count` out of its (state, action) `total`."""
+    if model.counts is None:
+        raise ValueError("model has no edge counts; model.json holds learned models only")
     transitions = []
     for (s, a), dist in sorted(model.trans.items()):
-        counts = model.counts.get((s, a)) if model.counts else None
+        counts = model.counts[(s, a)]
+        total = sum(counts.values())
         for succ in sorted(dist):
-            entry = {"src": s, "action": a, "dst": succ}
-            if counts is not None:
-                entry["count"] = counts[succ]
-                entry["total"] = sum(counts.values())
-            else:
-                p = dist[succ]
-                if isinstance(p, Fraction):
-                    entry["num"] = p.numerator
-                    entry["den"] = p.denominator
-                else:
-                    entry["prob"] = float(p)
-            transitions.append(entry)
+            transitions.append({"src": s, "action": a, "dst": succ,
+                                "count": counts[succ], "total": total})
     return {
         "initial": model.initial,
         "actions": list(model.actions),
@@ -74,31 +69,19 @@ def model_from_dict(data: dict) -> DeterministicLabeledMdp:
     if not states:
         raise ValueError("model has no states")
     label = {entry["id"]: entry["label"] for entry in data["states"]}
-    trans: dict[tuple[int, str], dict[int, Fraction | float]] = {}
+    trans: dict[tuple[int, str], dict[int, Fraction]] = {}
     counts: dict[tuple[int, str], dict[int, int]] = {}
-    exact = True
     for entry in data["transitions"]:
         key = (entry["src"], entry["action"])
-        if "count" in entry:
-            counts.setdefault(key, {})[entry["dst"]] = entry["count"]
-            trans.setdefault(key, {})[entry["dst"]] = Fraction(
-                entry["count"], entry["total"]
-            )
-        elif "num" in entry:
-            exact = False
-            trans.setdefault(key, {})[entry["dst"]] = Fraction(
-                entry["num"], entry["den"]
-            )
-        else:
-            exact = False
-            trans.setdefault(key, {})[entry["dst"]] = entry["prob"]
+        counts.setdefault(key, {})[entry["dst"]] = entry["count"]
+        trans.setdefault(key, {})[entry["dst"]] = Fraction(entry["count"], entry["total"])
     return DeterministicLabeledMdp(
         states=states,
         initial=data["initial"],
         actions=tuple(data["actions"]),
         label=label,
         trans=trans,
-        counts=counts if exact and counts else None,
+        counts=counts,
     )
 
 

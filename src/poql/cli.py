@@ -178,8 +178,7 @@ def cmd_export_dot(args) -> int:
     model, digest = load_model(Path(args.checkpoint) / "model.json")
     dot = dlmdp_to_dot(model, comment=f"config_hash={digest}")
     if args.out:
-        with _writing(args.out):
-            Path(args.out).write_text(dot)
+        write_text_atomic(args.out, dot)
     else:
         sys.stdout.write(dot)
     return 0
@@ -219,7 +218,7 @@ def cmd_compare(args) -> int:
     for r in rows:
         print("  ".join(r[c].ljust(widths[c]) for c in columns))
     if args.csv:
-        with _writing(args.csv), open(args.csv, "w", newline="") as fh:
+        with _writing(args.csv), atomic_open(args.csv, newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=columns)
             writer.writeheader()
             writer.writerows({c: r[c] for c in columns} for r in rows)

@@ -42,7 +42,7 @@ class GridSpec:
 
     Walls are thin: `blocked` holds unordered pairs of adjacent cells whose
     shared edge cannot be crossed. Cells absent from `cells` are solid.
-    `slip_prob` gives per-cell probabilities of slipping to a perpendicular
+    `slip` is the probability, in every cell, of slipping to a perpendicular
     direction; `sticky` gives per-edge probabilities that a crossing fails
     and leaves the position unchanged.
     """
@@ -52,18 +52,16 @@ class GridSpec:
     cells: frozenset[Cell]
     blocked: frozenset[tuple[Cell, Cell]]
     room_of: Mapping[Cell, str]
-    slip_prob: Mapping[Cell, Fraction]
     start: Cell
     goal: Cell
-    toggles: tuple[Cell, ...] = ()
+    slip: Fraction = Fraction(0)
     sticky: Mapping[tuple[Cell, Cell], Fraction] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.start not in self.cells or self.goal not in self.cells:
             raise ValueError("start and goal must be traversable cells")
-        for cell, p in self.slip_prob.items():
-            if not 0 <= p <= 1:
-                raise ValueError(f"slip probability {p} at {cell} outside [0, 1]")
+        if not 0 <= self.slip <= 1:
+            raise ValueError(f"slip probability {self.slip} outside [0, 1]")
         for edge, p in self.sticky.items():
             if not 0 <= p <= 1:
                 raise ValueError(f"sticky probability {p} at {edge} outside [0, 1]")
@@ -83,8 +81,9 @@ class GridSpec:
 
     @classmethod
     def from_text(cls, text: str, slip: Fraction = Fraction(0)) -> "GridSpec":
-        """Parse a glyph grid: '#' wall, '.' floor, S start, G goal, T toggle,
-        and digits 1-9 for room observations. Whitespace between glyphs is
+        """Parse a glyph grid: '#' wall, '.' floor, S start, G goal, T a cell
+        observed as `toggle` (a label only: it changes no transition), and
+        digits 1-9 for room observations. Whitespace between glyphs is
         ignored; rows must be equally wide."""
         rows = [[ch for ch in line if not ch.isspace()] for line in text.splitlines()]
         rows = [r for r in rows if r]
@@ -95,8 +94,8 @@ class GridSpec:
             raise ValueError("grid rows must all have the same width")
         cells: set[Cell] = set()
         room_of: dict[Cell, str] = {}
-        start = goal = None
-        toggles: list[Cell] = []
+        starts: list[Cell] = []
+        goals: list[Cell] = []
         for y, row in enumerate(rows):
             for x, glyph in enumerate(row):
                 cell = (x, y)
@@ -107,18 +106,17 @@ class GridSpec:
                     room_of[cell] = "floor"
                 elif glyph == "S":
                     room_of[cell] = "floor"
-                    start = cell
+                    starts.append(cell)
                 elif glyph == "G":
                     room_of[cell] = "goal"
-                    goal = cell
+                    goals.append(cell)
                 elif glyph == "T":
                     room_of[cell] = "toggle"
-                    toggles.append(cell)
-                elif glyph.isdigit() and glyph != "0":
+                elif glyph in "123456789":
                     room_of[cell] = f"Room{glyph}"
                 else:
                     raise ValueError(f"unknown glyph {glyph!r} at {cell}")
-        if start is None or goal is None:
+        if len(starts) != 1 or len(goals) != 1:
             raise ValueError("grid needs exactly one S and one G")
         return cls(
             width=width,
@@ -126,10 +124,9 @@ class GridSpec:
             cells=frozenset(cells),
             blocked=frozenset(),
             room_of=room_of,
-            slip_prob={c: slip for c in cells},
-            start=start,
-            goal=goal,
-            toggles=tuple(toggles),
+            start=starts[0],
+            goal=goals[0],
+            slip=slip,
         )
 
 
@@ -139,10 +136,9 @@ class World:
 
     pomdp: Pomdp
     state_of: Mapping[Hashable, int]
-    name: str = ""
 
 
-def grid_pomdp(spec: GridSpec, name: str = "grid", bump_obs: str | None = None) -> World:
+def grid_pomdp(spec: GridSpec, *, bump_obs: str | None = None) -> World:
     """Ground-truth POMDP for a grid layout.
 
     Moving into a wall leaves the position unchanged. When bump_obs is given,
@@ -184,12 +180,11 @@ def grid_pomdp(spec: GridSpec, name: str = "grid", bump_obs: str | None = None) 
 
     delta: dict[tuple[int, str], dict[int, Prob]] = {}
     for key, sid in state_of.items():
-        slip = spec.slip_prob.get(cell_of(key), Fraction(0))
         for action in GRID_ACTIONS:
-            directions = [(action, 1 - slip)]
-            if slip > 0:
+            directions = [(action, 1 - spec.slip)]
+            if spec.slip > 0:
                 p1, p2 = _PERP[action]
-                directions += [(p1, slip / 2), (p2, slip / 2)]
+                directions += [(p1, spec.slip / 2), (p2, spec.slip / 2)]
             dist: dict[int, Prob] = {}
             for direction, p in directions:
                 if p == 0:
@@ -212,7 +207,7 @@ def grid_pomdp(spec: GridSpec, name: str = "grid", bump_obs: str | None = None) 
         reward_fn={goal_id: GOAL_REWARD},
         goal_states=frozenset({goal_id}),
     )
-    return World(pomdp, state_of, name)
+    return World(pomdp, state_of)
 
 
 def hot_beverage_world(
@@ -249,7 +244,7 @@ def hot_beverage_world(
         reward_fn={4: GOAL_REWARD},
         goal_states=frozenset({4}),
     )
-    return World(pomdp, {i: i for i in range(5)}, "hot_beverage")
+    return World(pomdp, {i: i for i in range(5)})
 
 
 def _as_prob(p) -> Prob:
@@ -304,7 +299,6 @@ def _office_spec(aliased: bool) -> GridSpec:
         cells=cells,
         blocked=frozenset(tuple(sorted(p)) for p in blocked),
         room_of=room_of,
-        slip_prob={c: Fraction(0) for c in cells},
         start=(0, 0),
         goal=(3, 3) if aliased else (5, 5),
         sticky={door: Fraction(1, 10) for door in doors},
@@ -312,11 +306,11 @@ def _office_spec(aliased: bool) -> GridSpec:
 
 
 def officeworld_world() -> World:
-    return grid_pomdp(_office_spec(aliased=False), "officeworld")
+    return grid_pomdp(_office_spec(aliased=False))
 
 
 def confusing_officeworld_world() -> World:
-    return grid_pomdp(_office_spec(aliased=True), "confusing_officeworld")
+    return grid_pomdp(_office_spec(aliased=True))
 
 
 #: Column-world height; chosen so that blindly repeating `up` from the start
@@ -385,7 +379,7 @@ def gravity_world(width: int = GRAVITY_WIDTH, height: int = GRAVITY_HEIGHT) -> W
         reward_fn={sid: GOAL_REWARD for sid in goal_ids},
         goal_states=goal_ids,
     )
-    return World(pomdp, state_of, "gravity")
+    return World(pomdp, state_of)
 
 
 def _thinmaze_spec() -> GridSpec:
@@ -404,14 +398,13 @@ def _thinmaze_spec() -> GridSpec:
         cells=cells,
         blocked=frozenset(tuple(sorted(p)) for p in blocked),
         room_of={c: ("cookie" if c == (3, 3) else "corridor") for c in cells},
-        slip_prob={c: Fraction(0) for c in cells},
         start=(0, 0),
         goal=(3, 3),
     )
 
 
 def thinmaze_world() -> World:
-    return grid_pomdp(_thinmaze_spec(), "thinmaze", bump_obs="wall")
+    return grid_pomdp(_thinmaze_spec(), bump_obs="wall")
 
 
 def fully_observable(pomdp: Pomdp) -> Pomdp:
@@ -535,7 +528,6 @@ _BUILDERS = {
             params.pop("layout"),
             slip=_as_prob(params.pop("slip", 0)),
         ),
-        "grid",
     ),
 }
 

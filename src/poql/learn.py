@@ -133,13 +133,10 @@ class Iofpta:
 @dataclass(frozen=True)
 class LearnerConfig:
     eps_al: float = 0.05
-    min_traces: int = 1
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eps_al <= 1.0:
             raise ValueError(f"eps_al must be in (0, 1], got {self.eps_al}")
-        if self.min_traces < 1:
-            raise ValueError("min_traces must be at least 1")
 
 
 def build_iofpta(traces: Iterable[ObsTrace]) -> Iofpta:
@@ -368,11 +365,6 @@ def run_ioalergia(
     order and merged into the first compatible promoted state, or promoted
     themselves. The same sample in the same order yields the identical model.
     """
-    traces = list(traces)
-    if len(traces) < config.min_traces:
-        raise ValueError(
-            f"need at least {config.min_traces} traces, got {len(traces)}"
-        )
     tree = build_iofpta(traces)
     root = tree.root
     root.red_index = 0

@@ -174,18 +174,8 @@ class DeterministicLabeledMdp:
                 if p > 0:
                     self._successors[(s, a, self.label[succ])] = TrackerState(succ, True)
 
-    def prob(self, state: int, action: str, succ: int) -> float:
-        dist = self.trans.get((state, action))
-        return float(dist.get(succ, 0.0)) if dist else 0.0
-
     def successors(self, state: int, action: str) -> Mapping[int, Prob]:
         return self.trans.get((state, action), {})
-
-    def successor_for_obs(self, state: int, action: str, obs: str) -> int | None:
-        """The successor of (state, action) labeled obs, or None; read from the
-        model's shared, immutable `TrackerState` for that step."""
-        tracker = self._successors.get((state, action, obs))
-        return tracker.state if tracker is not None else None
 
     def reachable_states(self) -> list[int]:
         seen = {self.initial}
@@ -233,25 +223,6 @@ def step_to(
         return tracker
     nxt = model._successors.get((state, action, obs))
     return nxt if nxt is not None else TrackerState(state, False)
-
-
-def observation_trace(path: Sequence, obs_fn: Mapping[int, str]) -> list:
-    """Replace the states of an alternating state/action path by observations.
-
-    The path must start with a state and alternate state, action, state, ...
-    Actions are passed through verbatim.
-    """
-    if len(path) % 2 == 0 or not path:
-        raise ValueError("path must alternate state/action/state and start with a state")
-    out = []
-    for i, item in enumerate(path):
-        if i % 2 == 0:
-            if item not in obs_fn:
-                raise ValueError(f"state {item!r} outside observation function domain")
-            out.append(obs_fn[item])
-        else:
-            out.append(item)
-    return out
 
 
 def discounted_return(trace_rewards: Sequence[float], t: int, gamma: float) -> float:

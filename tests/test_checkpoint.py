@@ -1,5 +1,4 @@
 import string
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -28,10 +27,12 @@ def test_learned_model_roundtrip_preserves_counts():
 
 
 def test_exact_belief_model_roundtrip_without_counts(beverage_world):
+    """`model.json` encodes edge counts only, so a model without counts (an
+    exact belief model) is refused rather than written in another encoding."""
     model = build_belief_mdp(beverage_world.pomdp).model
-    back = model_from_dict(model_to_dict(model))
-    assert back.counts is None
-    assert back.trans[(1, "button")] == {3: Fraction(9, 10), 4: Fraction(1, 10)}
+    assert model.counts is None
+    with pytest.raises(ValueError, match="no edge counts"):
+        model_to_dict(model)
 
 
 def test_qtable_rows_roundtrip_exact_floats():

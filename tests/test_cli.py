@@ -76,6 +76,16 @@ def test_invalid_environment_rejected_without_artifacts(tmp_path, capsys):
     assert not (tmp_path / "nope").exists()
 
 
+def test_train_rejects_grid_with_non_ascii_room_digit(tmp_path, capsys):
+    """A room glyph outside 1-9 is refused before any run directory exists,
+    rather than failing later in the ASCII trace file write."""
+    cfg = _config(tmp_path / "nope")
+    cfg["environment"] = {"name": "grid", "layout": "S\u00b2G"}
+    path = _write_config(tmp_path, "grid.json", cfg)
+    assert _error_line(["train", str(path)], capsys).startswith("invalid environment: ")
+    assert not (tmp_path / "nope").exists()
+
+
 @pytest.mark.parametrize("agent,bad", [
     pytest.param("poql", {"alpha": 0.0}, id="alpha"),
     pytest.param("poql", {"eval_every": 0}, id="eval_every"),
@@ -218,6 +228,53 @@ def test_export_dot_reports_unwritable_out_path(beverage_run, tmp_path, capsys):
         f"{out}: No such file or directory")
 
 
+def _with_num_den_entry(model_json):
+    """Rewrite the first transition of a `model.json` in the `num`/`den`
+    encoding that `model.json` no longer holds."""
+    model = json.loads(model_json.read_text())
+    entry = model["transitions"][0]
+    entry["num"], entry["den"] = entry.pop("count"), entry.pop("total")
+    model_json.write_text(json.dumps(model))
+
+
+def test_export_dot_rejects_model_entry_without_count(beverage_run, tmp_path, capsys):
+    ckpt = _checkpoint_copy(beverage_run, tmp_path)
+    _with_num_den_entry(ckpt / "model.json")
+    assert _error_line(["export-dot", str(ckpt)], capsys) == (
+        f"{ckpt / 'model.json'}: missing key 'count'")
+
+
+def _fail_replace_of(monkeypatch, name):
+    """Make `os.replace` fail for targets called `name`."""
+    import os
+
+    replace = os.replace
+
+    def fail(src, dst):
+        if os.path.basename(dst) == name:
+            raise OSError(28, "No space left on device")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail)
+
+
+@pytest.mark.parametrize("command,flag,name", [
+    pytest.param("export-dot", "--out", "x.dot", id="export-dot"),
+    pytest.param("compare", "--csv", "x.csv", id="compare"),
+])
+def test_failed_replace_keeps_the_previous_output(beverage_run, tmp_path, monkeypatch,
+                                                  capsys, command, flag, name):
+    """A failed replace of `export-dot --out` or `compare --csv` keeps the
+    previous file's bytes, leaves no temp file and prints one `error:` line."""
+    out = tmp_path / name
+    out.write_bytes(b"previous\n")
+    _fail_replace_of(monkeypatch, name)
+    assert _error_line([command, str(beverage_run[0]), flag, str(out)], capsys) == (
+        f"{out}: No space left on device")
+    assert out.read_bytes() == b"previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
 def test_model_from_dict_rejects_empty():
     with pytest.raises(ValueError):
         model_from_dict({"initial": 0, "actions": [], "states": [], "transitions": []})
@@ -311,6 +368,12 @@ def test_eval_reports_model_without_states(beverage_run, tmp_path, capsys):
     del model["states"]
     (ckpt / "model.json").write_text(json.dumps(model))
     assert _eval_error(ckpt, capsys) == f"{ckpt / 'model.json'}: missing key 'states'"
+
+
+def test_eval_reports_model_entry_without_count(beverage_run, tmp_path, capsys):
+    ckpt = _checkpoint_copy(beverage_run, tmp_path)
+    _with_num_den_entry(ckpt / "model.json")
+    assert _eval_error(ckpt, capsys) == f"{ckpt / 'model.json'}: missing key 'count'"
 
 
 def test_eval_reports_config_without_agent(beverage_run, tmp_path, capsys):

@@ -275,7 +275,7 @@ def test_grid_text_parses_layout():
     assert spec.start == (0, 0) and spec.goal == (4, 3)
     assert spec.room_of[(1, 0)] == "Room1"
     assert spec.room_of[(4, 1)] == "Room2"
-    assert spec.toggles == ((4, 2),)
+    assert spec.room_of[(4, 2)] == "toggle"
     assert (3, 2) not in spec.cells
     assert spec.move((0, 0), "down") == (0, 1)
     assert spec.move((0, 1), "down") is None
@@ -297,6 +297,34 @@ def test_grid_text_rejects_unknown_glyphs():
 def test_grid_text_requires_start_and_goal():
     with pytest.raises(ValueError):
         GridSpec.from_text("S..")
+
+
+@pytest.mark.parametrize("text", ["S.GG", "SS.G"])
+def test_grid_text_rejects_a_second_start_or_goal(text):
+    with pytest.raises(ValueError, match="exactly one S and one G"):
+        GridSpec.from_text(text)
+
+
+def test_grid_text_takes_only_ascii_room_digits():
+    assert GridSpec.from_text("S9G").room_of[(1, 0)] == "Room9"
+    with pytest.raises(ValueError, match="glyph"):
+        GridSpec.from_text("S\u00b2G")
+
+
+def test_grid_slip_is_one_probability_for_every_cell():
+    spec = GridSpec.from_text("S.G", slip=Fraction(1, 5))
+    world = grid_pomdp(spec)
+    start, middle = world.state_of[(0, 0)], world.state_of[(1, 0)]
+    # A slip to up or down hits the boundary and stays put.
+    assert world.pomdp.mdp.distribution(start, "right") == {
+        start: Fraction(1, 5), middle: Fraction(4, 5)}
+    with pytest.raises(ValueError, match="slip probability"):
+        GridSpec.from_text("S.G", slip=Fraction(3, 2))
+
+
+def test_grid_pomdp_takes_bump_obs_by_keyword_only():
+    with pytest.raises(TypeError):
+        grid_pomdp(GridSpec.from_text("S.G"), "x")
 
 
 def test_grid_text_requires_rectangular_rows():

@@ -380,15 +380,13 @@ def test_learner_eps_controls_model_size():
 def test_learner_requires_min_traces():
     with pytest.raises(ValueError):
         run_ioalergia([], LearnerConfig())
-    with pytest.raises(ValueError):
-        run_ioalergia(_alternating_traces(3), LearnerConfig(min_traces=5))
+    with pytest.raises(InconsistentSample, match="empty sample"):
+        run_ioalergia(iter(()))
 
 
 def test_learner_config_validation():
     with pytest.raises(ValueError):
         LearnerConfig(eps_al=0.0)
-    with pytest.raises(ValueError):
-        LearnerConfig(min_traces=0)
 
 
 def test_learner_ingests_trace_files_discarding_rewards(tmp_path):

@@ -18,47 +18,12 @@ from poql.models import (
     dlmdp_to_dot,
     format_trace,
     isomorphic,
-    observation_trace,
     parse_trace,
     read_trace_file,
     reset_to_initial,
     step_to,
     write_trace_file,
 )
-
-
-# ---------------------------------------------------------------------------
-# observation_trace
-# ---------------------------------------------------------------------------
-
-def test_observation_trace_single_state(beverage_world):
-    assert observation_trace([0], beverage_world.pomdp.obs_fn) == ["init"]
-
-
-def test_observation_trace_replaces_states(beverage_world):
-    obs_fn = beverage_world.pomdp.obs_fn
-    assert observation_trace([0, "coin", 1], obs_fn) == ["init", "coin", "beep"]
-
-
-def test_observation_trace_identity_labeling():
-    assert observation_trace(["x"], {"x": "x"}) == ["x"]
-
-
-def test_observation_trace_preserves_actions(beverage_world):
-    obs_fn = beverage_world.pomdp.obs_fn
-    path = [0, "coin", 1, "button", 3, "coin", 0]
-    out = observation_trace(path, obs_fn)
-    assert out[1::2] == path[1::2]
-
-
-def test_observation_trace_domain_error():
-    with pytest.raises(ValueError, match="domain"):
-        observation_trace([0, "a", 99], {0: "x"})
-
-
-def test_observation_trace_rejects_even_length():
-    with pytest.raises(ValueError):
-        observation_trace([0, "a"], {0: "x"})
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +320,8 @@ def test_dlmdp_allows_partial_transitions():
         label={0: "s", 1: "t"},
         trans={(0, "a"): {1: 1}},
     )
-    assert m.successor_for_obs(0, "a", "t") == 1
-    assert m.successor_for_obs(0, "b", "t") is None
+    assert step_to(reset_to_initial(m), "a", "t", m) == TrackerState(1, True)
+    assert step_to(reset_to_initial(m), "b", "t", m) == TrackerState(0, False)
     assert m.reachable_states() == [0, 1]
 
 
