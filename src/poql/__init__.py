@@ -46,7 +46,6 @@ from .learn import (
     LearnerConfig,
     build_iofpta,
     compatible,
-    hoeffding_compatible,
     run_ioalergia,
 )
 from .models import (

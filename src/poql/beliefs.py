@@ -69,19 +69,34 @@ def observation_probability(b: Belief, action: str, obs: str, pomdp: Pomdp) -> P
 
 def belief_update(b: Belief, action: str, obs: str, pomdp: Pomdp) -> Belief:
     """Condition belief `b` on taking `action` and then observing `obs`."""
-    norm = observation_probability(b, action, obs, pomdp)
-    if norm == 0:
+    new, _ = _successor(b, action, obs, pomdp)
+    if new is None:
         raise ImpossibleObservation(
             f"observation {obs!r} has probability 0 after action {action!r}"
         )
+    return new
+
+
+def _successor(
+    b: Belief, action: str, obs: str, pomdp: Pomdp
+) -> tuple[Belief | None, Prob]:
+    """(belief_update, observation_probability) of one branch in one pass,
+    summed in the same order as observation_probability; None for a branch
+    of probability 0."""
+    norm = 0
     new: dict[int, Prob] = {}
     for s, w in b.support.items():
         if w == 0:
             continue
         for succ, p in pomdp.mdp.distribution(s, action).items():
-            if p != 0 and pomdp.obs_fn[succ] == obs:
-                new[succ] = new.get(succ, 0) + w * p
-    return Belief({s: w / norm for s, w in sorted(new.items())})
+            if pomdp.obs_fn[succ] == obs:
+                weight = w * p
+                norm += weight
+                if p != 0:
+                    new[succ] = new.get(succ, 0) + weight
+    if norm == 0:
+        return None, norm
+    return Belief({s: w / norm for s, w in sorted(new.items())}), norm
 
 
 @dataclass(frozen=True)
@@ -143,9 +158,9 @@ def build_belief_mdp(pomdp: Pomdp, max_states: int = 10_000) -> BeliefMdp:
         for a in pomdp.mdp.actions:
             branches: list[tuple[Belief, Prob]] = []
             for obs in pomdp.observations:
-                p = observation_probability(b, a, obs, pomdp)
+                nb, p = _successor(b, a, obs, pomdp)
                 if p > 0:
-                    branches.append((belief_update(b, a, obs, pomdp), p))
+                    branches.append((nb, p))
             kept = sum(p for _, p in branches)
             if float(kept) != 1.0:
                 branches = [(nb, p / kept) for nb, p in branches]

@@ -31,6 +31,7 @@ from .models import (
 
 _FLAG = {True: "T", False: "U"}
 _FLAG_BACK = {"T": True, "U": False}
+_HASH_LINE = "# config_hash="  # the first line of qtable.txt, before the hash
 
 
 def config_hash(config: dict) -> str:
@@ -199,7 +200,7 @@ def save_checkpoint(path, agent, exp_config: dict) -> None:
             out / "model.dot",
             dlmdp_to_dot(agent.model, comment=f"config_hash={digest}"),
         )
-    header = f"# config_hash={digest}\n"
+    header = f"{_HASH_LINE}{digest}\n"
     rows = "\n".join(qtable_rows(agent.q))
     write_text_atomic(out / "qtable.txt", header + rows + "\n")
     traces_path = out / "traces.txt"
@@ -207,11 +208,20 @@ def save_checkpoint(path, agent, exp_config: dict) -> None:
         write_trace_file(agent.history, traces_path)
 
 
+def _check_hash(path: Path, found, digest) -> None:
+    """Raise ConfigError naming `path` unless it records config hash `digest`."""
+    if found != digest:
+        raise ConfigError(f"{path}: config_hash {found or 'missing'}, "
+                          f"but config.json has {digest}")
+
+
 def load_checkpoint(path):
     """Reload (agent, exp_config) from a checkpoint directory.
 
     Every failure to load raises ConfigError whose message starts with the
-    offending file, and with its line for `qtable.txt` and `traces.txt`.
+    offending file, and with its line for `qtable.txt` and `traces.txt`. The
+    config hash of `qtable.txt` and `model.json` must be the one in
+    `config.json`.
     """
     out = Path(path)
     config_path = out / "config.json"
@@ -219,11 +229,17 @@ def load_checkpoint(path):
     with _loading(config_path):
         agent_config = AgentConfig(**exp_config.get("agent_config", {}))
         kind = exp_config["agent"]
+        digest = exp_config["config_hash"]
     qtable_path = out / "qtable.txt"
     with _loading(qtable_path):
         qtable_lines = qtable_path.read_text().splitlines()
+    header = qtable_lines[0] if qtable_lines else ""
+    found = header[len(_HASH_LINE):] if header.startswith(_HASH_LINE) else ""
+    _check_hash(qtable_path, found, digest)
     if kind == "poql":
-        model, _ = load_model(out / "model.json")
+        model_path = out / "model.json"
+        model, model_digest = load_model(model_path)
+        _check_hash(model_path, model_digest, digest)
         with _loading(config_path):
             actions = tuple(map(check_symbol, exp_config.get("actions") or model.actions))
     elif kind == "obs_baseline":

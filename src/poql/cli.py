@@ -212,16 +212,17 @@ def cmd_compare(args) -> int:
     rows = _compare_rows(args.run_dirs)
     columns = ("environment", "agent", "steps_to_goal", "episodes_to_stop", "status", "run")
     widths = {c: max(len(c), *(len(r[c]) for r in rows)) if rows else len(c) for c in columns}
-    header = "  ".join(c.ljust(widths[c]) for c in columns)
-    print(header)
-    print("-" * len(header))
-    for r in rows:
-        print("  ".join(r[c].ljust(widths[c]) for c in columns))
+    # The CSV goes first, so a failed write prints no table.
     if args.csv:
         with _writing(args.csv), atomic_open(args.csv, newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=columns)
             writer.writeheader()
             writer.writerows({c: r[c] for c in columns} for r in rows)
+    header = "  ".join(c.ljust(widths[c]) for c in columns)
+    print(header)
+    print("-" * len(header))
+    for r in rows:
+        print("  ".join(r[c].ljust(widths[c]) for c in columns))
     return 0
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import log, sqrt
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .models import (
     DeterministicLabeledMdp,
@@ -162,77 +162,32 @@ def _bound_scale(eps_al: float) -> float:
     return sqrt(0.5 * log(2.0 / eps_al))
 
 
-def hoeffding_compatible(
-    f1: Mapping[str, int], n1: int, f2: Mapping[str, int], n2: int, eps_al: float
-) -> bool:
-    """Two-sample frequency comparison with a Hoeffding acceptance bound.
-
-    Empty samples are compatible with anything. Otherwise every observation's
-    empirical frequencies must differ by less than
-    sqrt(ln(2 / eps_al) / 2) * (1/sqrt(n1) + 1/sqrt(n2)).
-    """
-    bound_scale = _bound_scale(eps_al)
-    if n1 == 0 or n2 == 0:
-        return True
-    bound = bound_scale * (1.0 / sqrt(n1) + 1.0 / sqrt(n2))
-    for obs in f1.keys() | f2.keys():
-        if abs(f1.get(obs, 0) / n1 - f2.get(obs, 0) / n2) >= bound:
-            return False
-    return True
-
-
 def compatible(r: IofptaNode, b: IofptaNode, eps_al: float) -> bool:
     """Statistical compatibility of two nodes and of their common successors.
 
-    Labels must match; for every action the successor-observation frequencies
-    must pass the Hoeffding test; and the check descends into successors
-    present on both sides. The second node always lies in an unmerged part of
-    the tree, which bounds the descent.
+    Labels must match; for every action taken n1 times at one node and n2
+    times at the other, each successor observation's empirical frequencies
+    must differ by less than sqrt(ln(2 / eps_al) / 2) * (1/sqrt(n1) +
+    1/sqrt(n2)); and the check descends into successors present on both
+    sides. An action seen on one side only passes, and a tail counts n = 1
+    at each of its steps. A test runs only where its bound is at most 1,
+    because frequencies never differ by more. The second node always lies in
+    an unmerged part of the tree, which bounds the descent.
     """
     bound_scale = _bound_scale(eps_al)
     if r.label != b.label:
         return False
-    return _compatible(r, b, bound_scale, _tail_threshold(bound_scale))
+    return _compatible(r, b, bound_scale)
 
 
-def _tail_threshold(bound_scale: float) -> int | None:
-    """The least n at which a test against a tail can fire; None if none can.
-
-    The tail side has n=1, so the bound against n on the other side is
-    bound_scale * (1.0 / sqrt(n) + 1.0). That float expression never grows
-    with n, so a doubling and bisection search over the expression itself
-    finds where it first is at most 1: from there on it stays so.
-    """
-    if bound_scale >= 1.0:
-        return None
-
-    def fits(n: int) -> bool:
-        return bound_scale * (1.0 / sqrt(n) + 1.0) <= 1.0
-
-    hi = 1
-    while not fits(hi):
-        hi *= 2
-    lo = hi // 2  # 0, or an n that does not fit
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if fits(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _compatible(
-    r: IofptaNode, b: IofptaNode, bound_scale: float, tail_min: int | None
-) -> bool:
+def _compatible(r: IofptaNode, b: IofptaNode, bound_scale: float) -> bool:
     # Depth-first over the pairs of nodes reached by the same path from
     # (r, b), with an explicit stack of child iterators instead of recursion.
     stack = []
     while True:
         if r.steps is not None or b.steps is not None:
-            if tail_min is not None and not _tail_compatible(
-                r, b, bound_scale, tail_min
-            ):
+            # Every tail bound exceeds bound_scale, so from 1 up none can fire.
+            if bound_scale < 1.0 and not _tail_compatible(r, b, bound_scale):
                 return False
         else:
             if not _node_compatible(r, b, bound_scale):
@@ -284,17 +239,16 @@ def _node_compatible(r: IofptaNode, b: IofptaNode, bound_scale: float) -> bool:
     return True
 
 
-def _tail_compatible(
-    r: IofptaNode, b: IofptaNode, bound_scale: float, tail_min: int
-) -> bool:
+def _tail_compatible(r: IofptaNode, b: IofptaNode, bound_scale: float) -> bool:
     """Compatibility of a pair in which at least one node is a tail.
 
     Walks the tail along the other side. At each step the tail side has n=1,
     and the test is symmetric, so which side is the tail does not matter.
-    A frequency difference can reach a bound only if the bound is at most 1,
-    which is where the other side's n is at least tail_min. There the tail's
-    own key differs by 1 - f0/n, and every other key of the action by
-    f/n <= (n - f0)/n, so those are scanned only if (n - f0)/n can fail.
+    The step's bound against the other side's n is
+    bound_scale * (1/sqrt(n) + 1), and a frequency difference can reach it
+    only if it is at most 1. There the tail's own key differs by 1 - f0/n, and
+    every other key of the action by f/n <= (n - f0)/n, so those are scanned
+    only if (n - f0)/n can fail.
     """
     if b.steps is not None:
         tail, other = b, r
@@ -306,16 +260,17 @@ def _tail_compatible(
             return True  # two tails: every bound exceeds 1
         key = steps[pos]
         n = other.totals.get(key[0], 0)
-        if n >= tail_min:
+        if n:
             bound = bound_scale * (1.0 / sqrt(n) + 1.0)
-            f0 = other.freq.get(key)
-            if f0 is None or 1.0 - f0 / n >= bound:
-                return False
-            if (n - f0) / n >= bound:
-                action = key[0]
-                for k, f in other.freq.items():
-                    if k[0] == action and k != key and f / n >= bound:
-                        return False
+            if bound <= 1.0:
+                f0 = other.freq.get(key)
+                if f0 is None or 1.0 - f0 / n >= bound:
+                    return False
+                if (n - f0) / n >= bound:
+                    action = key[0]
+                    for k, f in other.freq.items():
+                        if k[0] == action and k != key and f / n >= bound:
+                            return False
         other = other.children.get(key)
         if other is None:
             return True

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from poql.beliefs import (
     optimal_expected_steps,
     value_iteration,
 )
-from poql.envs import GridSpec, fully_observable, grid_pomdp
+from poql.envs import GridSpec, confusing_officeworld_world, fully_observable, grid_pomdp
 from poql.models import Mdp
 
 
@@ -147,6 +148,80 @@ def test_injective_observations_recover_the_mdp(beverage_world):
 def test_belief_mdp_max_states_validation(beverage_world):
     with pytest.raises(ValueError):
         build_belief_mdp(beverage_world.pomdp, max_states=0)
+
+
+def _reference_belief_mdp(pomdp, max_states):
+    """build_belief_mdp branch by branch: each branch's probability from
+    observation_probability and its belief from belief_update."""
+    beliefs = [initial_belief(pomdp)]
+    index = {beliefs[0].key(): 0}
+    trans = {}
+    truncated = False
+    sid = 0
+    while sid < len(beliefs):
+        b = beliefs[sid]
+        outgoing, fresh = {}, {}
+        for a in pomdp.mdp.actions:
+            branches = []
+            for z in pomdp.observations:
+                p = observation_probability(b, a, z, pomdp)
+                if p > 0:
+                    branches.append((belief_update(b, a, z, pomdp), p))
+            kept = sum(p for _, p in branches)
+            if float(kept) != 1.0:
+                branches = [(nb, p / kept) for nb, p in branches]
+            outgoing[a] = branches
+            for nb, _ in branches:
+                if nb.key() not in index:
+                    fresh.setdefault(nb.key(), nb)
+        if len(beliefs) + len(fresh) > max_states:
+            truncated = True
+            outgoing = {a: [(b, Fraction(1))] for a in pomdp.mdp.actions}
+        else:
+            for k, nb in fresh.items():
+                index[k] = len(beliefs)
+                beliefs.append(nb)
+        for a, branches in outgoing.items():
+            trans[(sid, a)] = {index[nb.key()]: p for nb, p in branches}
+        sid += 1
+    return beliefs, trans, truncated
+
+
+def _with_float_probabilities(pomdp):
+    mdp = pomdp.mdp
+    delta = {key: {s: float(p) for s, p in dist.items()} for key, dist in mdp.delta.items()}
+    return dataclasses.replace(pomdp, mdp=Mdp(mdp.states, mdp.initial, mdp.actions, delta))
+
+
+def _typed(mapping):
+    """The items of a mapping with each value's type, so that equal Fraction
+    and float values still differ."""
+    return [(k, type(v), v) for k, v in mapping.items()]
+
+
+@pytest.mark.parametrize("floats", [False, True], ids=["fraction", "float"])
+@pytest.mark.parametrize("world,max_states", [
+    ("beverage_world", 10_000),
+    ("beverage_chain_world", 12),
+    ("confusing_officeworld", 10_000),
+])
+def test_belief_mdp_matches_the_branch_by_branch_build(request, world, max_states, floats):
+    if world == "confusing_officeworld":
+        pomdp = confusing_officeworld_world().pomdp
+    else:
+        pomdp = request.getfixturevalue(world).pomdp
+    if floats:
+        pomdp = _with_float_probabilities(pomdp)
+    bmdp = build_belief_mdp(pomdp, max_states)
+    beliefs, trans, truncated = _reference_belief_mdp(pomdp, max_states)
+    assert bmdp.truncated == truncated
+    assert bmdp.model.states == tuple(range(len(beliefs)))
+    assert [_typed(bmdp.belief_of_state[s].support) for s in bmdp.model.states] == [
+        _typed(b.support) for b in beliefs]
+    assert bmdp.model.label == {
+        s: pomdp.obs_fn[next(iter(b.support))] for s, b in enumerate(beliefs)}
+    assert list(bmdp.model.trans) == list(trans)
+    assert [_typed(bmdp.model.trans[k]) for k in trans] == [_typed(d) for d in trans.values()]
 
 
 # ---------------------------------------------------------------------------

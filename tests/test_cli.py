@@ -265,12 +265,14 @@ def _fail_replace_of(monkeypatch, name):
 def test_failed_replace_keeps_the_previous_output(beverage_run, tmp_path, monkeypatch,
                                                   capsys, command, flag, name):
     """A failed replace of `export-dot --out` or `compare --csv` keeps the
-    previous file's bytes, leaves no temp file and prints one `error:` line."""
+    previous file's bytes, leaves no temp file, prints nothing to stdout and
+    one `error:` line to stderr."""
     out = tmp_path / name
     out.write_bytes(b"previous\n")
     _fail_replace_of(monkeypatch, name)
-    assert _error_line([command, str(beverage_run[0]), flag, str(out)], capsys) == (
-        f"{out}: No space left on device")
+    capsys.readouterr()
+    assert main([command, str(beverage_run[0]), flag, str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {out}: No space left on device\n")
     assert out.read_bytes() == b"previous\n"
     assert [p.name for p in tmp_path.iterdir()] == [name]
 
@@ -374,6 +376,46 @@ def test_eval_reports_model_entry_without_count(beverage_run, tmp_path, capsys):
     ckpt = _checkpoint_copy(beverage_run, tmp_path)
     _with_num_den_entry(ckpt / "model.json")
     assert _eval_error(ckpt, capsys) == f"{ckpt / 'model.json'}: missing key 'count'"
+
+
+def _set_json_hash(path, digest):
+    data = json.loads(path.read_text())
+    if digest is None:
+        del data["config_hash"]
+    else:
+        data["config_hash"] = digest
+    path.write_text(json.dumps(data))
+
+
+@pytest.mark.parametrize("tampered,named,found", [
+    ("model.json", "model.json", "0000000000000000"),
+    ("model.json", "model.json", None),
+    ("qtable.txt", "qtable.txt", "0000000000000000"),
+    ("qtable.txt", "qtable.txt", None),
+    ("config.json", "qtable.txt", "0000000000000000"),
+])
+def test_eval_rejects_a_config_hash_that_differs_from_config_json(
+        beverage_run, tmp_path, capsys, tampered, named, found):
+    """qtable.txt and model.json must record config.json's config_hash; the
+    first file that does not is named."""
+    ckpt = _checkpoint_copy(beverage_run, tmp_path)
+    digest = json.loads((ckpt / "config.json").read_text())["config_hash"]
+    path = ckpt / tampered
+    if tampered == "qtable.txt":
+        _replace_line(path, 0, "# no hash" if found is None else f"# config_hash={found}")
+    else:
+        _set_json_hash(path, found)
+    recorded = found
+    if tampered == "config.json":
+        recorded, digest = digest, found
+    assert _eval_error(ckpt, capsys) == (
+        f"{ckpt / named}: config_hash {recorded or 'missing'}, but config.json has {digest}")
+
+
+def test_eval_rejects_config_json_without_config_hash(beverage_run, tmp_path, capsys):
+    ckpt = _checkpoint_copy(beverage_run, tmp_path)
+    _set_json_hash(ckpt / "config.json", None)
+    assert _eval_error(ckpt, capsys) == f"{ckpt / 'config.json'}: missing key 'config_hash'"
 
 
 def test_eval_reports_config_without_agent(beverage_run, tmp_path, capsys):

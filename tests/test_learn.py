@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from poql.agent import (ExtendedState, QTable, RandomAgent, replay, run_episode,
                         update_q_values)
@@ -15,10 +15,8 @@ from poql.learn import (
     InconsistentSample,
     LearnerConfig,
     _bound_scale,
-    _tail_threshold,
     build_iofpta,
     compatible,
-    hoeffding_compatible,
     observation_traces,
     observation_traces_from_file,
     run_ioalergia,
@@ -106,57 +104,6 @@ def test_iofpta_rejects_empty_sample():
 
 
 # ---------------------------------------------------------------------------
-# hoeffding_compatible
-# ---------------------------------------------------------------------------
-
-def test_hoeffding_no_evidence_is_compatible():
-    assert hoeffding_compatible({}, 0, {"a": 5}, 5, 0.05)
-
-
-def test_hoeffding_equal_frequencies_compatible():
-    assert hoeffding_compatible({"a": 70, "b": 30}, 100, {"a": 70, "b": 30}, 100, 0.05)
-
-
-def test_hoeffding_disjoint_supports_incompatible():
-    # bound = sqrt(0.5 * ln(2/0.05)) * (1/10 + 1/10) ~= 0.2716 < 1.0
-    bound = math.sqrt(0.5 * math.log(2 / 0.05)) * (2 / 10)
-    assert bound == pytest.approx(0.2716, abs=5e-4)
-    assert not hoeffding_compatible({"a": 100}, 100, {"b": 100}, 100, 0.05)
-
-
-def test_hoeffding_parameter_validation():
-    with pytest.raises(ValueError):
-        hoeffding_compatible({}, 0, {}, 0, 0.0)
-    with pytest.raises(ValueError):
-        hoeffding_compatible({}, 0, {}, 0, 1.5)
-    node = build_iofpta([_trace("init")]).root
-    with pytest.raises(ValueError):
-        compatible(node, node, 0.0)
-    with pytest.raises(ValueError):
-        compatible(node, node, 1.5)
-
-
-@settings(max_examples=200)
-@given(
-    n1=st.integers(1, 400),
-    n2=st.integers(1, 400),
-    split1=st.floats(0, 1),
-    split2=st.floats(0, 1),
-    eps_pair=st.tuples(st.floats(0.001, 1.0), st.floats(0.001, 1.0)),
-)
-def test_hoeffding_monotone_in_eps(n1, n2, split1, split2, eps_pair):
-    """Compatibility at some eps implies compatibility at any smaller eps,
-    because the acceptance bound grows as eps shrinks."""
-    f1 = {"a": round(n1 * split1)}
-    f1["b"] = n1 - f1["a"]
-    f2 = {"a": round(n2 * split2)}
-    f2["b"] = n2 - f2["a"]
-    hi, lo = max(eps_pair), min(eps_pair)
-    if hoeffding_compatible(f1, n1, f2, n2, hi):
-        assert hoeffding_compatible(f1, n1, f2, n2, lo)
-
-
-# ---------------------------------------------------------------------------
 # compatible
 # ---------------------------------------------------------------------------
 
@@ -164,6 +111,14 @@ def test_compatible_label_mismatch():
     t1 = build_iofpta([_trace("beep")])
     t2 = build_iofpta([_trace("coffee")])
     assert not compatible(t1.root, t2.root, 0.05)
+
+
+def test_compatible_parameter_validation():
+    node = build_iofpta([_trace("init")]).root
+    with pytest.raises(ValueError):
+        compatible(node, node, 0.0)
+    with pytest.raises(ValueError):
+        compatible(node, node, 1.5)
 
 
 def test_compatible_identical_subtrees():
@@ -628,6 +583,21 @@ def test_compatible_matches_the_per_key_test(case):
             assert compatible(r, b, eps_al) == _reference_compatible(r, b, eps_al)
 
 
+@settings(max_examples=100, deadline=None)
+@given(case=_tail_cases(), other_eps_al=_EPS_AL_AROUND_TAIL_LIMIT)
+def test_compatible_monotone_in_eps(case, other_eps_al):
+    """Compatibility at some eps_al implies compatibility at any smaller
+    eps_al, because every acceptance bound grows as eps_al shrinks."""
+    eps_al, repeated, singles = case
+    lo, hi = sorted((eps_al, other_eps_al))
+    assume(lo < hi)
+    nodes = _first_nodes(build_iofpta(repeated)) + _first_nodes(build_iofpta(singles))
+    for r in nodes:
+        for b in nodes:
+            if compatible(r, b, hi):
+                assert compatible(r, b, lo)
+
+
 def _least_eps_al_with_tail_bound_at_most(high, n):
     """The least float eps_al above 2/e^2 whose tail bound against n is at
     most high; the bound falls as eps_al grows."""
@@ -665,23 +635,6 @@ def test_compatible_keeps_the_float_rounding_of_the_per_key_test():
             assert not compatible(tail, other, eps_al)
             decided_by.add("other key" if rest > own else "own key")
     assert decided_by == {"own key", "other key"}
-
-
-@given(eps_al=st.one_of(
-    st.floats(_TWO_OVER_E2, 1.0, exclude_min=True),
-    st.floats(_TWO_OVER_E2 * (1 - 1e-12), _TWO_OVER_E2 * (1 + 1e-9)),
-))
-def test_tail_threshold_is_the_first_n_whose_tail_bound_is_at_most_one(eps_al):
-    scale = _bound_scale(eps_al)
-    n = _tail_threshold(scale)
-    if scale >= 1.0:
-        assert n is None
-        return
-
-    def fits(m):
-        return scale * (1.0 / math.sqrt(m) + 1.0) <= 1.0
-
-    assert fits(n) and (n == 1 or not fits(n - 1))
 
 
 # ---------------------------------------------------------------------------
