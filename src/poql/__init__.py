@@ -5,7 +5,6 @@ from .agent import (
     AgentConfig,
     BaselineAgent,
     EvalStats,
-    ExtendedState,
     PoqlAgent,
     QTable,
     RandomAgent,
@@ -50,10 +49,10 @@ from .learn import (
 )
 from .models import (
     DeterministicLabeledMdp,
+    ExtendedState,
     Mdp,
     Pomdp,
     RewardObservationTrace,
-    TrackerState,
     discounted_return,
     dlmdp_to_dot,
     isomorphic,

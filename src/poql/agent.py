@@ -1,8 +1,9 @@
 """Tabular Q-learning over an extended state space fed by a learned model.
 
 The agent couples epsilon-greedy Q-learning with a tracker that simulates
-every environment step on the most recently learned labeled MDP. The Q-table
-is keyed by (observation, model state, defined flag). Periodically the model
+every environment step on the most recently learned labeled MDP. The
+tracker's position, the `ExtendedState` (observation, model state, defined
+flag) that `step_to` returns, is the Q-table key. Periodically the model
 is relearned from the full episode history, the Q-table is reinitialized over
 the grown state space, and all stored episodes are replayed into it; after
 the freeze point the model stays fixed and only Q-values keep improving.
@@ -24,19 +25,11 @@ from .envs import Environment
 from .learn import LearnerConfig, observation_traces, run_ioalergia
 from .models import (
     DeterministicLabeledMdp,
+    ExtendedState,
     RewardObservationTrace,
-    TrackerState,
     reset_to_initial,
     step_to,
 )
-
-
-class ExtendedState(NamedTuple):
-    """Q-table state: raw observation plus the tracker's (state, defined) pair."""
-
-    obs: str
-    state: int
-    defined: bool
 
 
 class QTable:
@@ -99,11 +92,6 @@ def update_q_values(
     row[i] = (1.0 - alpha) * row[i] + alpha * (reward + gamma * max_next)
 
 
-def extended_keys(model: DeterministicLabeledMdp) -> dict[int, ExtendedState]:
-    """State -> the key after a defined step into it, whose observation is its label."""
-    return {s: ExtendedState(obs, s, True) for s, obs in model.label.items()}
-
-
 def replay(
     q: QTable,
     model: DeterministicLabeledMdp,
@@ -115,18 +103,14 @@ def replay(
 
     Each episode is traced on the model exactly as it would have been online:
     reset the tracker, then advance it by (action, new observation) and apply
-    the same update with the pre- and post-step extended states. Defined
-    steps share the immutable keys of `extended_keys(model)`.
+    the same update with the keys before and after the step.
     """
-    keys = extended_keys(model)
     for episode in history:
-        tracker = reset_to_initial(model)
-        ext = ExtendedState(episode.initial_obs, tracker.state, tracker.defined)
+        key = reset_to_initial(model)
         for action, reward, obs in episode.steps:
-            state, defined = tracker = step_to(tracker, action, obs, model)
-            nxt = keys[state] if defined else ExtendedState(obs, state, False)
-            update_q_values(q, ext, action, reward, nxt, alpha, gamma)
-            ext = nxt
+            nxt = step_to(key, action, obs, model)
+            update_q_values(q, key, action, reward, nxt, alpha, gamma)
+            key = nxt
 
 
 @dataclass(frozen=True)
@@ -226,31 +210,23 @@ class TabularAgent:
 class PoqlAgent(TabularAgent):
     """Trained artifact: learned model, extended Q-table, and run history.
 
-    The key is the extended state: the observation plus the tracker's
-    (state, defined) pair on the learned model.
+    The key is the tracker's position on the learned model, the
+    `ExtendedState` that `reset_to_initial` and `step_to` return.
     """
 
     def __init__(self, model: DeterministicLabeledMdp, q: QTable, config: AgentConfig):
         super().__init__(q, config)
         self.model = model
         self.relearn_episodes: list[int] = []
-        self._tracker: TrackerState | None = None
-
-    @property
-    def model(self) -> DeterministicLabeledMdp:
-        return self._model
-
-    @model.setter
-    def model(self, model: DeterministicLabeledMdp) -> None:
-        self._model, self._keys = model, extended_keys(model)
+        self.key: ExtendedState | None = None
 
     def begin_episode(self, obs: str) -> ExtendedState:
-        tracker = self._tracker = reset_to_initial(self._model)
-        return ExtendedState(obs, tracker.state, tracker.defined)
+        self.key = key = reset_to_initial(self.model)
+        return key
 
     def observe(self, action: str, obs: str) -> ExtendedState:
-        state, defined = self._tracker = step_to(self._tracker, action, obs, self._model)
-        return self._keys[state] if defined else ExtendedState(obs, state, False)
+        self.key = key = step_to(self.key, action, obs, self.model)
+        return key
 
     def relearn(self, episode: int, log: Callable[[str], None] | None) -> None:
         """Every update_interval episodes before the freeze point, relearn the

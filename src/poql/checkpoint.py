@@ -19,9 +19,10 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
-from .agent import AgentConfig, BaselineAgent, ExtendedState, PoqlAgent, QTable
+from .agent import AgentConfig, BaselineAgent, PoqlAgent, QTable
 from .models import (
     DeterministicLabeledMdp,
+    ExtendedState,
     atomic_open,
     check_symbol,
     dlmdp_to_dot,

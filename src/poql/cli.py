@@ -158,10 +158,16 @@ def cmd_eval(args) -> int:
     if args.episodes < 1:
         raise ConfigError(f"--episodes must be at least 1, got {args.episodes}")
     agent, config = load_checkpoint(args.checkpoint)
+    config_path = Path(args.checkpoint) / "config.json"
     try:
         env = build_environment(config, seed=args.seed)
     except ConfigError as exc:
-        raise ConfigError(f"{Path(args.checkpoint) / 'config.json'}: {exc}") from exc
+        raise ConfigError(f"{config_path}: {exc}") from exc
+    # An edited field would otherwise pair the agent with another experiment.
+    digest = config_hash({k: v for k, v in config.items() if k != "config_hash"})
+    if digest != config["config_hash"]:
+        raise ConfigError(f"{config_path}: config_hash {config['config_hash']}, "
+                          f"but its fields hash to {digest}")
     stats = evaluate(agent, env, args.episodes, args.seed)
     print(json.dumps({
         "environment": env.name,

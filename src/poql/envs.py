@@ -461,6 +461,10 @@ class Environment:
         max_steps: int = DEFAULT_MAX_STEPS,
         name: str = "pomdp",
     ):
+        if not isinstance(max_steps, int) or isinstance(max_steps, bool) or max_steps < 1:
+            raise ValueError(
+                f"max_steps must be an integer of at least 1, got {max_steps!r}"
+            )
         self.pomdp = pomdp
         self.name = name
         self.max_steps = max_steps

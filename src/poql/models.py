@@ -1,4 +1,5 @@
-"""Core model types: MDPs, POMDPs, learned labeled models, traces, and trackers.
+"""Core model types: MDPs, POMDPs, learned labeled models, traces, and the
+tracker, whose position `ExtendedState` is also the poql Q-table key.
 
 State ids are opaque integers assigned in creation order; observation and
 action symbols are interned strings. Models are immutable after construction
@@ -146,7 +147,7 @@ class DeterministicLabeledMdp:
     label: Mapping[int, str]
     trans: Mapping[tuple[int, str], Mapping[int, Prob]]
     counts: Mapping[tuple[int, str], Mapping[int, int]] | None = None
-    _successors: dict[tuple[int, str, str], TrackerState] = field(
+    _successors: dict[tuple[int, str, str], ExtendedState] = field(
         default_factory=dict, repr=False, compare=False
     )
 
@@ -167,12 +168,14 @@ class DeterministicLabeledMdp:
                 f"label determinism violated at ({s}, {a!r}): "
                 f"successors {s1} and {s2} share label {self.label[s1]!r}"
             )
-        # (state, action, successor label) -> shared TrackerState(successor,
-        # True); sound because of the determinism invariant checked above.
+        # (state, action, successor label) -> the shared key of a defined step,
+        # ExtendedState(label, successor, True); sound because of the
+        # determinism invariant checked above.
         for (s, a), dist in self.trans.items():
             for succ, p in dist.items():
                 if p > 0:
-                    self._successors[(s, a, self.label[succ])] = TrackerState(succ, True)
+                    label = self.label[succ]
+                    self._successors[(s, a, label)] = ExtendedState(label, succ, True)
 
     def successors(self, state: int, action: str) -> Mapping[int, Prob]:
         return self.trans.get((state, action), {})
@@ -190,39 +193,45 @@ class DeterministicLabeledMdp:
         return sorted(seen)
 
 
-class TrackerState(NamedTuple):
-    """Current state of a trace simulation on a learned model.
+class ExtendedState(NamedTuple):
+    """Where a trace simulation on a learned model stands, and the Q-table key.
 
-    Once `defined` is False it stays False and `state` keeps the last state
+    `obs` is the last observation, `state` the model state reached and
+    `defined` whether every step so far had a successor in the model. Once
+    `defined` is False it stays False, and `state` keeps the last state
     visited while the simulation was still defined.
     """
 
+    obs: str
     state: int
     defined: bool
 
 
-def reset_to_initial(model: DeterministicLabeledMdp) -> TrackerState:
-    """Start tracking at the model's initial state with the defined flag set."""
-    return TrackerState(model.initial, True)
+def reset_to_initial(model: DeterministicLabeledMdp) -> ExtendedState:
+    """Start tracking at the model's initial state with the defined flag set.
+
+    The observation is the initial state's label: a learned model's initial
+    label is the initial observation of every trace it was learned from.
+    """
+    return ExtendedState(model.label[model.initial], model.initial, True)
 
 
 def step_to(
-    tracker: TrackerState, action: str, obs: str, model: DeterministicLabeledMdp
-) -> TrackerState:
+    key: ExtendedState, action: str, obs: str, model: DeterministicLabeledMdp
+) -> ExtendedState:
     """Advance the tracker by one (action, observation) step.
 
     If the model has a successor for (state, action) labeled `obs`, move
-    there; otherwise clear the defined flag and keep the state. Never raises:
-    undefined behavior is encoded in the flag.
-
-    A defined step returns the model's shared, immutable `TrackerState` for
-    the successor; only a step that clears the flag allocates.
+    there and return the model's shared, immutable key for that step;
+    otherwise return ExtendedState(obs, state, False), the only result that
+    allocates. Never raises: undefined behavior is encoded in the flag.
     """
-    state, defined = tracker
-    if not defined:
-        return tracker
-    nxt = model._successors.get((state, action, obs))
-    return nxt if nxt is not None else TrackerState(state, False)
+    _, state, defined = key
+    if defined:
+        nxt = model._successors.get((state, action, obs))
+        if nxt is not None:
+            return nxt
+    return ExtendedState(obs, state, False)
 
 
 def discounted_return(trace_rewards: Sequence[float], t: int, gamma: float) -> float:

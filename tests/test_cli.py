@@ -86,6 +86,17 @@ def test_train_rejects_grid_with_non_ascii_room_digit(tmp_path, capsys):
     assert not (tmp_path / "nope").exists()
 
 
+@pytest.mark.parametrize("max_steps", ["100", 0, -3, True, 1.5])
+def test_train_rejects_max_steps_below_one_or_not_an_integer(tmp_path, capsys, max_steps):
+    cfg = _config(tmp_path / "nope")
+    cfg["environment"] = {"name": "hot_beverage", "max_steps": max_steps}
+    path = _write_config(tmp_path, "steps.json", cfg)
+    assert _error_line(["train", str(path)], capsys) == (
+        f"invalid environment: max_steps must be an integer of at least 1, "
+        f"got {max_steps!r}")
+    assert not (tmp_path / "nope").exists()
+
+
 @pytest.mark.parametrize("agent,bad", [
     pytest.param("poql", {"alpha": 0.0}, id="alpha"),
     pytest.param("poql", {"eval_every": 0}, id="eval_every"),
@@ -449,6 +460,29 @@ def test_eval_reports_config_without_environment(beverage_run, tmp_path, capsys)
     (ckpt / "config.json").write_text(json.dumps(config))
     assert _eval_error(ckpt, capsys).startswith(
         f"{ckpt / 'config.json'}: invalid environment: ")
+
+
+def _edit_environment(config):
+    config["environment"] = {"name": "thinmaze"}
+
+
+def _edit_gamma(config):
+    config["agent_config"]["gamma"] = 0.5
+
+
+@pytest.mark.parametrize("edit", [_edit_environment, _edit_gamma],
+                         ids=["environment", "agent_config.gamma"])
+def test_eval_rejects_config_fields_that_its_hash_does_not_cover(
+        beverage_run, tmp_path, capsys, edit):
+    """A field edited after training no longer hashes to config_hash, so the
+    agent is not evaluated against another experiment."""
+    ckpt = _checkpoint_copy(beverage_run, tmp_path)
+    config = json.loads((ckpt / "config.json").read_text())
+    digest = config["config_hash"]
+    edit(config)
+    (ckpt / "config.json").write_text(json.dumps(config))
+    assert _eval_error(ckpt, capsys).startswith(
+        f"{ckpt / 'config.json'}: config_hash {digest}, but its fields hash to ")
 
 
 def test_eval_reports_malformed_trace_line(beverage_run, tmp_path, capsys):

@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 from poql.agent import (ExtendedState, QTable, RandomAgent, replay, run_episode,
                         update_q_values)
 from poql.checkpoint import model_to_dict
-from poql.envs import hot_beverage_world, make_environment, sample_pomdp_traces
+from poql.envs import (ENVIRONMENT_NAMES, hot_beverage_world, make_environment,
+                       sample_pomdp_traces)
 from poql.learn import (
     InconsistentSample,
     LearnerConfig,
@@ -251,6 +252,17 @@ def test_learner_matches_golden_models(name):
         blob = json.dumps(model_to_dict(model), sort_keys=True).encode()
         digests[eps_al] = hashlib.sha256(blob).hexdigest()
     assert digests == GOLDEN_MODELS[name]
+
+
+@pytest.mark.parametrize("name", ENVIRONMENT_NAMES)
+def test_learned_initial_label_is_the_environment_initial_observation(name):
+    """reset_to_initial keys every episode by the model's initial label, so a
+    model learned from an environment's own episodes must carry the
+    observation that each of its episodes starts with."""
+    params = {"layout": "S 1 .\n. # G"} if name == "grid" else {}
+    env = make_environment(name, seed=5, **params)
+    model = run_ioalergia(_random_episodes(env, 30, 5), LearnerConfig())
+    assert reset_to_initial(model).obs == env.reset()[0]
 
 
 def test_learner_handles_episodes_longer_than_the_recursion_limit():
@@ -646,24 +658,23 @@ def test_compatible_keeps_the_float_rounding_of_the_per_key_test():
 _UNDEFINED_EPISODE = ("a", (("x", "a"), ("z", "b"), ("x", "a"), ("y", "c")))
 
 
-def _reference_step(tracker, action, obs, model):
+def _reference_step(key, action, obs, model):
     """step_to read off model.trans and model.label directly."""
-    state, defined = tracker
+    _, state, defined = key
     if defined:
         for succ, p in model.trans.get((state, action), {}).items():
             if p > 0 and model.label[succ] == obs:
-                return (succ, True)
-    return (state, False)
+                return (obs, succ, True)
+    return (obs, state, False)
 
 
 def _reference_replay(q, model, history, alpha, gamma):
-    """replay with a fresh ExtendedState built at every step."""
+    """replay with a fresh ExtendedState built at every step, starting from
+    each episode's own initial observation."""
     for episode in history:
-        tracker = (model.initial, True)
-        ext = ExtendedState(episode.initial_obs, *tracker)
+        ext = ExtendedState(episode.initial_obs, model.initial, True)
         for action, reward, obs in episode.steps:
-            tracker = _reference_step(tracker, action, obs, model)
-            nxt = ExtendedState(obs, *tracker)
+            nxt = ExtendedState(*_reference_step(ext, action, obs, model))
             update_q_values(q, ext, action, reward, nxt, alpha, gamma)
             ext = nxt
 
@@ -691,7 +702,8 @@ def test_step_to_matches_a_walk_over_trans_and_label(case):
     undefined = 0
     for episode in history:
         tracker = reset_to_initial(model)
-        expected = (model.initial, True)
+        expected = (episode.initial_obs, model.initial, True)
+        assert tracker == expected
         for action, _, obs in episode.steps:
             prev, tracker = tracker, step_to(tracker, action, obs, model)
             expected = _reference_step(expected, action, obs, model)

@@ -12,8 +12,8 @@ from poql.models import (
     DeterministicLabeledMdp,
     Mdp,
     Pomdp,
+    ExtendedState,
     RewardObservationTrace,
-    TrackerState,
     discounted_return,
     dlmdp_to_dot,
     format_trace,
@@ -63,7 +63,7 @@ def beverage_belief_model(beverage_world):
 
 
 def test_reset_to_initial(beverage_belief_model):
-    assert reset_to_initial(beverage_belief_model) == TrackerState(0, True)
+    assert reset_to_initial(beverage_belief_model) == ExtendedState("init", 0, True)
 
 
 def test_step_to_defined(beverage_belief_model):
@@ -75,14 +75,14 @@ def test_step_to_defined(beverage_belief_model):
 def test_step_to_mismatch_sets_flag(beverage_belief_model):
     t = reset_to_initial(beverage_belief_model)
     t2 = step_to(t, "coin", "coffee", beverage_belief_model)
-    assert t2 == TrackerState(t.state, False)
+    assert t2 == ExtendedState("coffee", t.state, False)
 
 
 def test_step_to_undefined_is_absorbing(beverage_belief_model):
-    t = TrackerState(2, False)
+    t = ExtendedState("beep", 2, False)
     for action, obs in [("coin", "beep"), ("button", "tea"), ("coin", "init")]:
         t = step_to(t, action, obs, beverage_belief_model)
-        assert t == TrackerState(2, False)
+        assert t == ExtendedState(obs, 2, False)
 
 
 def test_step_to_label_agrees_with_observation(beverage_belief_model):
@@ -90,9 +90,10 @@ def test_step_to_label_agrees_with_observation(beverage_belief_model):
     for s in model.states:
         for a in model.actions:
             for succ, p in model.successors(s, a).items():
-                t = step_to(TrackerState(s, True), a, model.label[succ], model)
+                key = ExtendedState(model.label[s], s, True)
+                t = step_to(key, a, model.label[succ], model)
                 assert t.defined
-                assert model.label[t.state] == model.label[succ]
+                assert model.label[t.state] == t.obs == model.label[succ]
 
 
 def test_step_to_replay_is_deterministic(beverage_belief_model):
@@ -320,8 +321,8 @@ def test_dlmdp_allows_partial_transitions():
         label={0: "s", 1: "t"},
         trans={(0, "a"): {1: 1}},
     )
-    assert step_to(reset_to_initial(m), "a", "t", m) == TrackerState(1, True)
-    assert step_to(reset_to_initial(m), "b", "t", m) == TrackerState(0, False)
+    assert step_to(reset_to_initial(m), "a", "t", m) == ExtendedState("t", 1, True)
+    assert step_to(reset_to_initial(m), "b", "t", m) == ExtendedState("t", 0, False)
     assert m.reachable_states() == [0, 1]
 
 
