@@ -34,9 +34,7 @@ from .envs import (
     EpisodeProtocolError,
     GridSpec,
     World,
-    fully_observable,
     make_environment,
-    sample_pomdp_traces,
 )
 from .learn import (
     InconsistentSample,
@@ -53,9 +51,7 @@ from .models import (
     Mdp,
     Pomdp,
     RewardObservationTrace,
-    discounted_return,
     dlmdp_to_dot,
-    isomorphic,
     read_trace_file,
     reset_to_initial,
     step_to,

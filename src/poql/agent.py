@@ -9,7 +9,8 @@ the grown state space, and all stored episodes are replayed into it; after
 the freeze point the model stays fixed and only Q-values keep improving.
 
 Every episode, whether training, random bootstrap or greedy evaluation, is
-played by `run_episode`; agents differ only in how they key the Q-table.
+played by `run_episode`; tabular agents differ only in how they key the
+Q-table.
 
 A training run is strictly sequential; runs with distinct seeds share nothing.
 """
@@ -183,9 +184,12 @@ def round_steps(x: float) -> int:
 class TabularAgent:
     """A Q-learner's state: Q-table, episode history and evaluation rows.
 
-    Subclasses map observations to Q-table keys through the episode protocol
-    of `run_episode`: begin_episode(obs) -> key, choose(key, epsilon, rng) ->
-    action, observe(action, obs) -> key.
+    The Q-table key is the tracker's position on `model` (see `step_to`), or
+    the raw observation when `model` is None. `run_episode` keys a
+    TabularAgent's episode directly by that rule; the protocol methods
+    begin_episode(obs) -> key, choose(key, epsilon, rng) -> action and
+    observe(action, obs) -> key give the same keys to a caller that steps
+    the environment itself.
     """
 
     model: DeterministicLabeledMdp | None = None
@@ -199,9 +203,20 @@ class TabularAgent:
         self.eval_rows: list[dict] = []
         self.episodes_trained = 0
         self.stop_episode: int | None = None
+        self.key = None
+
+    def begin_episode(self, obs: str):
+        model = self.model
+        self.key = key = obs if model is None else reset_to_initial(model)
+        return key
 
     def choose(self, key, epsilon: float, rng: random.Random) -> str:
         return get_action(self.q, key, epsilon, self.actions, rng)
+
+    def observe(self, action: str, obs: str):
+        model = self.model
+        self.key = key = obs if model is None else step_to(self.key, action, obs, model)
+        return key
 
     def relearn(self, episode: int, log: Callable[[str], None] | None) -> None:
         """Called after every training episode; only a model-based agent acts."""
@@ -218,15 +233,6 @@ class PoqlAgent(TabularAgent):
         super().__init__(q, config)
         self.model = model
         self.relearn_episodes: list[int] = []
-        self.key: ExtendedState | None = None
-
-    def begin_episode(self, obs: str) -> ExtendedState:
-        self.key = key = reset_to_initial(self.model)
-        return key
-
-    def observe(self, action: str, obs: str) -> ExtendedState:
-        self.key = key = step_to(self.key, action, obs, self.model)
-        return key
 
     def relearn(self, episode: int, log: Callable[[str], None] | None) -> None:
         """Every update_interval episodes before the freeze point, relearn the
@@ -246,13 +252,7 @@ class PoqlAgent(TabularAgent):
 
 
 class BaselineAgent(TabularAgent):
-    """Observation-only Q-learner: the raw observation is the key."""
-
-    def begin_episode(self, obs: str) -> str:
-        return obs
-
-    def observe(self, action: str, obs: str) -> str:
-        return obs
+    """Observation-only Q-learner: no model, so the raw observation is the key."""
 
 
 class RandomAgent:
@@ -295,29 +295,62 @@ def run_episode(
     rng: random.Random,
     epsilon: float = 0.0,
     learn: tuple[float, float] | None = None,
-) -> tuple[str, float, tuple[tuple[str, float, str], ...]]:
+    discount: float | None = None,
+) -> tuple[str, float, tuple[tuple[str, float, str], ...]] | float:
     """Play one episode and return (initial obs, initial reward, steps).
 
     Each step the agent chooses an action for its current key, the
-    environment steps, and the agent maps the new observation to the next
-    key. With learn=(alpha, gamma) every step also backs up agent.q. The
-    result unpacks into a RewardObservationTrace.
+    environment steps, and the new observation gives the next key. A
+    TabularAgent's step calls `get_action` and `step_to` directly (without
+    a model, as the baseline, the raw observation is the key); any other
+    agent plays through begin_episode/choose/observe. With
+    learn=(alpha, gamma) every step also backs up agent.q. The result
+    unpacks into a RewardObservationTrace. With discount=gamma no steps are
+    recorded, and the result is the discounted return of the step rewards,
+    summed as `total += factor * r; factor *= gamma` from total 0.0 and
+    factor 1.0.
     """
     obs, reward = env.reset()
-    key = agent.begin_episode(obs)
+    step = env.step
     if learn is not None:
-        q = agent.q
         alpha, gamma = learn
-    steps = []
+    steps = [] if discount is None else None
+    total = 0.0
+    factor = 1.0
     done = False
-    while not done:
-        action = agent.choose(key, epsilon, rng)
-        new_obs, r, done = env.step(action)
-        nxt = agent.observe(action, new_obs)
-        if learn is not None:
-            update_q_values(q, key, action, r, nxt, alpha, gamma)
-        steps.append((action, r, new_obs))
-        key = nxt
+    if isinstance(agent, TabularAgent):
+        q = agent.q
+        actions = agent.actions
+        model = agent.model
+        key = obs if model is None else reset_to_initial(model)
+        while not done:
+            action = get_action(q, key, epsilon, actions, rng)
+            new_obs, r, done = step(action)
+            nxt = new_obs if model is None else step_to(key, action, new_obs, model)
+            if learn is not None:
+                update_q_values(q, key, action, r, nxt, alpha, gamma)
+            if steps is None:
+                total += factor * r
+                factor *= discount
+            else:
+                steps.append((action, r, new_obs))
+            key = nxt
+    else:
+        key = agent.begin_episode(obs)
+        while not done:
+            action = agent.choose(key, epsilon, rng)
+            new_obs, r, done = step(action)
+            nxt = agent.observe(action, new_obs)
+            if learn is not None:
+                update_q_values(agent.q, key, action, r, nxt, alpha, gamma)
+            if steps is None:
+                total += factor * r
+                factor *= discount
+            else:
+                steps.append((action, r, new_obs))
+            key = nxt
+    if steps is None:
+        return total
     return obs, reward, tuple(steps)
 
 
@@ -326,9 +359,9 @@ def evaluate(agent, env: Environment, n_episodes: int, seed: int | str) -> EvalS
 
     mean_steps averages the step counts of successful episodes and is rounded
     to the closest integer (None when no episode reached the goal). Each
-    episode's return is summed in one pass over the steps `run_episode`
-    returns, with the float operations of `discounted_return(rewards, 0,
-    agent.gamma)` in the same order; gamma must lie in [0, 1].
+    episode's return is summed by `run_episode` itself (discount=agent.gamma)
+    as the rewards after the initial one are played; gamma must lie in
+    [0, 1].
     """
     if n_episodes < 1:
         raise ValueError("n_episodes must be at least 1")
@@ -340,15 +373,9 @@ def evaluate(agent, env: Environment, n_episodes: int, seed: int | str) -> EvalS
     success_steps: list[int] = []
     returns: list[float] = []
     for _ in range(n_episodes):
-        steps = run_episode(env, agent, rng)[2]
+        returns.append(run_episode(env, agent, rng, discount=gamma))
         if env.goal_reached:
             success_steps.append(env.step_count)
-        total = 0.0
-        factor = 1.0
-        for _, r, _ in steps:
-            total += factor * r
-            factor *= gamma
-        returns.append(total)
     successes = len(success_steps)
     exact = sum(success_steps) / successes if successes else None
     return EvalStats(

@@ -20,6 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .agent import AgentConfig, BaselineAgent, PoqlAgent, QTable
+from .envs import Environment, make_environment
 from .models import (
     DeterministicLabeledMdp,
     ExtendedState,
@@ -141,6 +142,14 @@ def _loading(path: Path):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def build_environment(config: dict, seed: int | str) -> Environment:
+    """The environment that the config's "environment" object names."""
+    try:
+        return make_environment(seed=seed, **config.get("environment"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid environment: {exc}") from exc
+
+
 def read_json_object(path) -> dict:
     """The JSON object stored in `path`; every failure names the file."""
     path = Path(path)
@@ -222,7 +231,9 @@ def load_checkpoint(path):
     Every failure to load raises ConfigError whose message starts with the
     offending file, and with its line for `qtable.txt` and `traces.txt`. The
     config hash of `qtable.txt` and `model.json` must be the one in
-    `config.json`.
+    `config.json`, and so must the hash of `config.json`'s own fields, so an
+    edited field never pairs the agent with another experiment. An edited
+    environment that no longer builds is reported as invalid.
     """
     out = Path(path)
     config_path = out / "config.json"
@@ -249,6 +260,14 @@ def load_checkpoint(path):
             actions = tuple(map(check_symbol, exp_config["actions"]))
     else:
         raise ConfigError(f"{config_path}: cannot reload agent kind {kind!r}")
+    fields_digest = config_hash({k: v for k, v in exp_config.items() if k != "config_hash"})
+    if fields_digest != digest:
+        try:
+            build_environment(exp_config, seed=0)
+        except ConfigError as exc:
+            raise ConfigError(f"{config_path}: {exc}") from exc
+        raise ConfigError(f"{config_path}: config_hash {digest}, "
+                          f"but its fields hash to {fields_digest}")
     try:
         q = qtable_from_rows(qtable_lines, actions)
     except ValueError as exc:

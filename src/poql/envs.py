@@ -17,10 +17,9 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from typing import Hashable, Mapping
 
-from .models import Mdp, ObsTrace, Pomdp, Prob, check_symbol
+from .models import Mdp, Pomdp, Prob, check_symbol
 
 #: Reward for entering a goal state; all other states yield 0.
 GOAL_REWARD = 100.0
@@ -407,38 +406,33 @@ def thinmaze_world() -> World:
     return grid_pomdp(_thinmaze_spec(), bump_obs="wall")
 
 
-def fully_observable(pomdp: Pomdp) -> Pomdp:
-    """Replace the observation function by an injective one (test helper)."""
-    obs_fn = {s: f"st{s}" for s in pomdp.mdp.states}
-    return Pomdp(
-        mdp=pomdp.mdp,
-        observations=tuple(sorted(obs_fn.values())),
-        obs_fn=obs_fn,
-        reward_fn=pomdp.reward_fn,
-        goal_states=pomdp.goal_states,
-    )
+def _state_table(
+    pomdp: Pomdp,
+) -> dict[int, tuple[str, float, bool, dict[str, tuple[tuple[float, ...], tuple[int, ...]]]]]:
+    """One row per state: what entering it yields (observation, reward, goal)
+    and, per action of the model and no other, the successor sampler.
 
-
-def _cumulative_samplers(
-    mdp: Mdp,
-) -> dict[tuple[int, str], tuple[tuple[float, ...], tuple[int, ...]]]:
-    """Per (state, action) of states x actions, and no other key: cumulative
-    successor probabilities, the last pinned to 1.0, and the successors in
-    sorted order. The successor for a uniform draw r is the first whose
-    cumulative probability exceeds r."""
-    samplers = {}
-    for key in product(mdp.states, mdp.actions):
-        dist = mdp.delta[key]
-        cum: list[float] = []
-        succs: list[int] = []
-        acc = 0.0
-        for succ, p in sorted(dist.items()):
-            acc += float(p)
-            cum.append(acc)
-            succs.append(succ)
-        cum[-1] = 1.0
-        samplers[key] = (tuple(cum), tuple(succs))
-    return samplers
+    A sampler holds cumulative successor probabilities, the last pinned to
+    1.0, and the successors in sorted order. The successor for a uniform
+    draw r is the first whose cumulative probability exceeds r.
+    """
+    mdp = pomdp.mdp
+    table = {}
+    for state in mdp.states:
+        samplers = {}
+        for action in mdp.actions:
+            cum: list[float] = []
+            succs: list[int] = []
+            acc = 0.0
+            for succ, p in sorted(mdp.delta[(state, action)].items()):
+                acc += float(p)
+                cum.append(acc)
+                succs.append(succ)
+            cum[-1] = 1.0
+            samplers[action] = (tuple(cum), tuple(succs))
+        table[state] = (pomdp.obs(state), pomdp.reward(state),
+                        state in pomdp.goal_states, samplers)
+    return table
 
 
 class EpisodeProtocolError(RuntimeError):
@@ -470,10 +464,7 @@ class Environment:
         self.max_steps = max_steps
         self.actions = pomdp.mdp.actions
         self.observations = pomdp.observations
-        self._samplers = _cumulative_samplers(pomdp.mdp)
-        # state -> what entering it yields: (observation, reward, goal)
-        self._outcome = {s: (pomdp.obs(s), pomdp.reward(s), s in pomdp.goal_states)
-                         for s in pomdp.mdp.states}
+        self._table = _state_table(pomdp)
         self._rng = random.Random(seed)
         self._state: int | None = None
         self._steps = 0
@@ -488,19 +479,20 @@ class Environment:
         self._state = self.pomdp.mdp.initial
         self._steps = 0
         self._done = False
-        obs, reward, self._goal = self._outcome[self._state]
+        obs, reward, self._goal, _ = self._table[self._state]
         return obs, reward
 
     def step(self, action: str) -> tuple[str, float, bool]:
         """Perform an action; returns (observation, reward, done)."""
         if self._done:
             raise EpisodeProtocolError("episode is over; call reset() first")
-        sampler = self._samplers.get((self._state, action))  # None: unknown action
+        table = self._table
+        sampler = table[self._state][3].get(action)  # None: unknown action
         if sampler is None:
             raise ValueError(f"unknown action {action!r}")
         cum, succs = sampler
         state = self._state = succs[bisect_right(cum, self._rng.random())]
-        obs, reward, goal = self._outcome[state]
+        obs, reward, goal, _ = table[state]
         self._steps += 1
         self._goal = goal
         self._done = done = goal or self._steps >= self.max_steps
@@ -553,28 +545,3 @@ def make_environment(name: str, seed: int | str = 0, **params) -> Environment:
     if params:
         raise ValueError(f"unused environment parameters: {sorted(params)}")
     return Environment(world.pomdp, seed=seed, max_steps=max_steps, name=name)
-
-
-def sample_pomdp_traces(
-    pomdp: Pomdp, n_traces: int, length: int, seed: int | str = 0
-) -> list[ObsTrace]:
-    """Uniform-random-policy traces from the ground-truth POMDP.
-
-    Walks the underlying MDP directly, ignoring goals and caps; this is the
-    oracle-side sampler used to exercise the learner on known distributions.
-    """
-    rng = random.Random(seed)
-    mdp = pomdp.mdp
-    samplers = _cumulative_samplers(mdp)
-    n_actions = len(mdp.actions)
-    traces: list[ObsTrace] = []
-    for _ in range(n_traces):
-        state = mdp.initial
-        steps = []
-        for _ in range(length):
-            action = mdp.actions[rng.randrange(n_actions)]
-            cum, succs = samplers[(state, action)]
-            state = succs[bisect_right(cum, rng.random())]
-            steps.append((action, pomdp.obs(state)))
-        traces.append((pomdp.obs(mdp.initial), tuple(steps)))
-    return traces

@@ -117,18 +117,6 @@ class Iofpta:
     root: IofptaNode
     num_traces: int
 
-    def edge_mass(self) -> int:
-        """Total frequency over all edges; equals the total number of steps."""
-        total = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.steps is not None:
-                total += len(node.steps) - node.pos
-            total += sum(node.freq.values())
-            stack.extend(node.children.values())
-        return total
-
 
 @dataclass(frozen=True)
 class LearnerConfig:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import copysign
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, NamedTuple, TextIO
 
 #: Tolerance used when asserting that a probability distribution sums to 1.
 PROB_SUM_TOL = 1e-9
@@ -150,6 +150,9 @@ class DeterministicLabeledMdp:
     _successors: dict[tuple[int, str, str], ExtendedState] = field(
         default_factory=dict, repr=False, compare=False
     )
+    _initial_key: ExtendedState | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         state_set = set(self.states)
@@ -168,9 +171,11 @@ class DeterministicLabeledMdp:
                 f"label determinism violated at ({s}, {a!r}): "
                 f"successors {s1} and {s2} share label {self.label[s1]!r}"
             )
-        # (state, action, successor label) -> the shared key of a defined step,
-        # ExtendedState(label, successor, True); sound because of the
-        # determinism invariant checked above.
+        # The shared key of the initial state and, per (state, action,
+        # successor label), of a defined step: ExtendedState(label, state,
+        # True); sound because of the determinism invariant checked above.
+        object.__setattr__(self, "_initial_key", ExtendedState(
+            self.label[self.initial], self.initial, True))
         for (s, a), dist in self.trans.items():
             for succ, p in dist.items():
                 if p > 0:
@@ -179,18 +184,6 @@ class DeterministicLabeledMdp:
 
     def successors(self, state: int, action: str) -> Mapping[int, Prob]:
         return self.trans.get((state, action), {})
-
-    def reachable_states(self) -> list[int]:
-        seen = {self.initial}
-        frontier = [self.initial]
-        while frontier:
-            s = frontier.pop()
-            for a in self.actions:
-                for succ, p in self.successors(s, a).items():
-                    if p > 0 and succ not in seen:
-                        seen.add(succ)
-                        frontier.append(succ)
-        return sorted(seen)
 
 
 class ExtendedState(NamedTuple):
@@ -208,12 +201,13 @@ class ExtendedState(NamedTuple):
 
 
 def reset_to_initial(model: DeterministicLabeledMdp) -> ExtendedState:
-    """Start tracking at the model's initial state with the defined flag set.
+    """Start tracking at the model's initial state with the defined flag set:
+    the model's shared key ExtendedState(initial label, initial, True).
 
-    The observation is the initial state's label: a learned model's initial
-    label is the initial observation of every trace it was learned from.
+    A learned model's initial label is the initial observation of every
+    trace it was learned from.
     """
-    return ExtendedState(model.label[model.initial], model.initial, True)
+    return model._initial_key
 
 
 def step_to(
@@ -232,24 +226,6 @@ def step_to(
         if nxt is not None:
             return nxt
     return ExtendedState(obs, state, False)
-
-
-def discounted_return(trace_rewards: Sequence[float], t: int, gamma: float) -> float:
-    """Discounted sum of the rewards strictly after step t.
-
-    trace_rewards holds the reward of every state along a path, including the
-    initial state's. The result is sum_i gamma**i * trace_rewards[t + 1 + i].
-    """
-    if not 0 <= t < len(trace_rewards):
-        raise IndexError(f"step index {t} out of range for {len(trace_rewards)} rewards")
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
-    total = 0.0
-    factor = 1.0
-    for r in trace_rewards[t + 1 :]:
-        total += factor * r
-        factor *= gamma
-    return total
 
 
 @dataclass(frozen=True)
@@ -438,45 +414,3 @@ def dlmdp_to_dot(
         lines.append(f'  s{s} -> s{succ} [label="{a}:{p:.4f}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def isomorphic(
-    m1: DeterministicLabeledMdp,
-    m2: DeterministicLabeledMdp,
-    prob_tol: float = 0.0,
-) -> bool:
-    """Check for a label- and structure-preserving bijection on reachable parts.
-
-    Determinism makes the candidate pairing unique: starting from the two
-    initial states, matching (action, successor label) edges must pair up
-    exactly, with transition probabilities within prob_tol.
-    """
-    if m1.label[m1.initial] != m2.label[m2.initial]:
-        return False
-    pairing = {m1.initial: m2.initial}
-    reverse = {m2.initial: m1.initial}
-    queue = [(m1.initial, m2.initial)]
-    actions = set(m1.actions) | set(m2.actions)
-    while queue:
-        s1, s2 = queue.pop()
-        for a in actions:
-            d1 = m1.successors(s1, a)
-            d2 = m2.successors(s2, a)
-            e1 = {m1.label[succ]: (succ, float(p)) for succ, p in d1.items() if p > 0}
-            e2 = {m2.label[succ]: (succ, float(p)) for succ, p in d2.items() if p > 0}
-            if set(e1) != set(e2):
-                return False
-            for lbl, (succ1, p1) in e1.items():
-                succ2, p2 = e2[lbl]
-                if abs(p1 - p2) > prob_tol:
-                    return False
-                if succ1 in pairing:
-                    if pairing[succ1] != succ2:
-                        return False
-                elif succ2 in reverse:
-                    return False
-                else:
-                    pairing[succ1] = succ2
-                    reverse[succ2] = succ1
-                    queue.append((succ1, succ2))
-    return True

@@ -28,14 +28,15 @@ from poql.agent import (
 )
 from poql.beliefs import build_belief_mdp, optimal_expected_steps
 from poql.cli import main as cli_main
-from poql.envs import hot_beverage_world, make_environment, sample_pomdp_traces
+from poql.envs import hot_beverage_world, make_environment
 from poql.learn import run_ioalergia
 from poql.models import (
-    isomorphic,
     label_determinism_violations,
     reset_to_initial,
     step_to,
 )
+
+from helpers import isomorphic, sample_pomdp_traces
 
 SEED = 2024
 

@@ -25,13 +25,14 @@ from poql.agent import (
     update_q_values,
 )
 from poql.beliefs import build_belief_mdp
-from poql.envs import Environment, fully_observable, make_environment
+from poql.envs import Environment, make_environment
 from poql.models import (
     RewardObservationTrace,
-    discounted_return,
     reset_to_initial,
     step_to,
 )
+
+from helpers import discounted_return, fully_observable
 
 ACTIONS = ("up", "down", "left", "right")
 
@@ -347,25 +348,34 @@ def test_evaluate_reports_rounded_steps(trained_beverage):
     assert stats.mean_steps == int(math.floor(stats.mean_steps_exact + 0.5))
 
 
+def _reference_episode(env, agent, rng, epsilon, learn):
+    """`run_episode` spelled out through begin_episode/choose/observe."""
+    obs, reward = env.reset()
+    key = agent.begin_episode(obs)
+    steps = []
+    done = False
+    while not done:
+        action = agent.choose(key, epsilon, rng)
+        new_obs, r, done = env.step(action)
+        nxt = agent.observe(action, new_obs)
+        if learn is not None:
+            update_q_values(agent.q, key, action, r, nxt, *learn)
+        steps.append((action, r, new_obs))
+        key = nxt
+    return obs, reward, tuple(steps)
+
+
 def _reference_evaluate(agent, env, n_episodes, seed) -> EvalStats:
-    """`evaluate` spelled out: an explicit greedy rollout that keeps every
-    episode's rewards list and scores it with `discounted_return`."""
+    """`evaluate` spelled out: protocol rollouts that keep every episode's
+    rewards list and score it with `discounted_return`."""
     env.reseed(f"{seed}|env")
     rng = random.Random(f"{seed}|ties")
     success_steps, returns = [], []
     for _ in range(n_episodes):
-        obs, reward = env.reset()
-        key = agent.begin_episode(obs)
-        rewards = [reward]
-        done = False
-        while not done:
-            action = agent.choose(key, 0.0, rng)
-            obs, reward, done = env.step(action)
-            key = agent.observe(action, obs)
-            rewards.append(reward)
+        trace = RewardObservationTrace(*_reference_episode(env, agent, rng, 0.0, None))
         if env.goal_reached:
             success_steps.append(env.step_count)
-        returns.append(discounted_return(rewards, 0, agent.gamma))
+        returns.append(discounted_return(trace.rewards(), 0, agent.gamma))
     exact = sum(success_steps) / len(success_steps) if success_steps else None
     return EvalStats(
         goal_rate=len(success_steps) / n_episodes,
@@ -376,9 +386,12 @@ def _reference_evaluate(agent, env, n_episodes, seed) -> EvalStats:
 
 
 def test_evaluate_mean_return_matches_discounted_return(trained_beverage):
-    """Recompute the evaluation from an identical rollout."""
+    """Recompute the evaluation from an identical rollout, for the poql
+    agent and the baseline (direct rollouts) and a RandomAgent (protocol)."""
     agent, env = trained_beverage
-    assert evaluate(agent, env, 20, seed=42) == _reference_evaluate(agent, env, 20, 42)
+    baseline = baseline_obs_q(env, _quick_config(), seed=7)
+    for policy in (agent, baseline, RandomAgent(env.actions)):
+        assert evaluate(policy, env, 20, seed=42) == _reference_evaluate(policy, env, 20, 42)
 
 
 def test_evaluate_oracle_policy_matches_shortest_path():
@@ -490,6 +503,36 @@ def test_evaluate_matches_the_rewards_list_reference(
         agent.gamma = gamma
     assert evaluate(agent, env, n_episodes, seed) == _reference_evaluate(
         agent, env, n_episodes, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["baseline", "poql"]),
+    env_name=st.sampled_from(EVAL_ENVS),
+    epsilon=st.sampled_from([0.0, 0.3, 1.0]),
+    learn=st.sampled_from([None, (0.1, 0.99), (1.0, 0.0)]),
+    n_episodes=st.integers(1, 4),
+    seed=st.integers(0, 10**6),
+)
+def test_run_episode_matches_the_protocol_loop(
+    eval_agents, kind, env_name, epsilon, learn, n_episodes, seed
+):
+    """A tabular agent's direct episode loop plays, learns and draws
+    exactly as the begin_episode/choose/observe loop does."""
+    env, poql_agent, baseline = eval_agents[env_name]
+    trained = poql_agent if kind == "poql" else baseline
+    results = []
+    for play in (run_episode, _reference_episode):
+        agent = copy.copy(trained)
+        agent.q = copy.deepcopy(trained.q)
+        env.reseed(seed)
+        rng = random.Random(seed)
+        episodes = []
+        for _ in range(n_episodes):
+            episodes.append((play(env, agent, rng, epsilon, learn),
+                             env.goal_reached, env.step_count))
+        results.append((episodes, agent.q._rows, rng.getstate()))
+    assert results[0] == results[1]
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,10 @@ from poql.beliefs import (
     optimal_expected_steps,
     value_iteration,
 )
-from poql.envs import GridSpec, confusing_officeworld_world, fully_observable, grid_pomdp
+from poql.envs import GridSpec, confusing_officeworld_world, grid_pomdp
 from poql.models import Mdp
+
+from helpers import fully_observable
 
 
 # ---------------------------------------------------------------------------

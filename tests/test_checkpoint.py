@@ -12,8 +12,10 @@ from poql.checkpoint import (
     qtable_rows,
 )
 from poql.agent import ExtendedState, QTable, update_q_values
-from poql.envs import hot_beverage_world, sample_pomdp_traces
+from poql.envs import hot_beverage_world
 from poql.learn import run_ioalergia
+
+from helpers import sample_pomdp_traces
 
 
 def test_learned_model_roundtrip_preserves_counts():

@@ -4,7 +4,7 @@ import shutil
 
 import pytest
 
-from poql.checkpoint import load_checkpoint, model_from_dict
+from poql.checkpoint import ConfigError, load_checkpoint, model_from_dict
 from poql.cli import main
 from poql.agent import evaluate
 from poql.envs import make_environment
@@ -482,6 +482,23 @@ def test_eval_rejects_config_fields_that_its_hash_does_not_cover(
     edit(config)
     (ckpt / "config.json").write_text(json.dumps(config))
     assert _eval_error(ckpt, capsys).startswith(
+        f"{ckpt / 'config.json'}: config_hash {digest}, but its fields hash to ")
+
+
+@pytest.mark.parametrize("edit", [_edit_environment, _edit_gamma],
+                         ids=["environment", "agent_config.gamma"])
+def test_load_checkpoint_rejects_config_fields_that_its_hash_does_not_cover(
+        beverage_run, tmp_path, edit):
+    """The recomputed hash is checked by the loader itself, so a Python
+    caller never gets an agent paired with an edited experiment."""
+    ckpt = _checkpoint_copy(beverage_run, tmp_path)
+    config = json.loads((ckpt / "config.json").read_text())
+    digest = config["config_hash"]
+    edit(config)
+    (ckpt / "config.json").write_text(json.dumps(config))
+    with pytest.raises(ConfigError) as info:
+        load_checkpoint(ckpt)
+    assert str(info.value).startswith(
         f"{ckpt / 'config.json'}: config_hash {digest}, but its fields hash to ")
 
 

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 
@@ -12,14 +13,14 @@ from poql.envs import (
     EpisodeProtocolError,
     GridSpec,
     confusing_officeworld_world,
-    fully_observable,
     grid_pomdp,
     gravity_world,
     make_environment,
     officeworld_world,
-    sample_pomdp_traces,
     thinmaze_world,
 )
+
+from helpers import cumulative_sampler, fully_observable, sample_pomdp_traces
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +268,51 @@ S 1 1 # 2
 # # # # T
 . . . . G
 """
+
+
+_WALK_CASES = [(name, {"layout": GRID_TEXT} if name == "grid" else {})
+               for name in ENVIRONMENT_NAMES]
+_WALK_CASES.append(("grid", {"layout": GRID_TEXT, "slip": Fraction(1, 5)}))
+
+
+@pytest.mark.parametrize("name,params", _WALK_CASES,
+                         ids=[*ENVIRONMENT_NAMES, "grid-slip"])
+def test_step_draws_the_successors_of_a_bisect_walk_over_delta(name, params):
+    """The per-state table makes the same draws as a walk over
+    pomdp.mdp.delta that bisects cumulative float probabilities, and rejects
+    bad steps with the same errors."""
+    env = make_environment(name, seed=11, **params)
+    mdp = env.pomdp.mdp
+    samplers = {key: cumulative_sampler(dist) for key, dist in mdp.delta.items()}
+    draws, policy = random.Random(11), random.Random(12)
+    env.reset()
+    state = mdp.initial
+    walked, expected = [], []
+    for _ in range(600):
+        action = policy.choice(env.actions)
+        cum, succs = samplers[(state, action)]
+        state = succs[bisect_right(cum, draws.random())]
+        done = env.step(action)[2]
+        walked.append(env._state)
+        expected.append(state)
+        if done:
+            env.reset()
+            state = mdp.initial
+    assert walked == expected
+    assert env._rng.getstate() == draws.getstate()
+
+    with pytest.raises(ValueError, match="unknown action 'kick'"):
+        env.step("kick")
+    with pytest.raises(TypeError):
+        env.step(["up"])
+    assert env._rng.getstate() == draws.getstate()
+    env = make_environment(name, seed=11, max_steps=1, **params)
+    with pytest.raises(EpisodeProtocolError):
+        env.step(env.actions[0])
+    env.reset()
+    env.step(env.actions[0])
+    with pytest.raises(EpisodeProtocolError):
+        env.step(env.actions[0])
 
 
 def test_grid_text_parses_layout():

@@ -10,8 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from poql.agent import (ExtendedState, QTable, RandomAgent, replay, run_episode,
                         update_q_values)
 from poql.checkpoint import model_to_dict
-from poql.envs import (ENVIRONMENT_NAMES, hot_beverage_world, make_environment,
-                       sample_pomdp_traces)
+from poql.envs import ENVIRONMENT_NAMES, hot_beverage_world, make_environment
 from poql.learn import (
     InconsistentSample,
     LearnerConfig,
@@ -30,6 +29,8 @@ from poql.models import (
     step_to,
     write_trace_file,
 )
+
+from helpers import edge_mass, reachable_states, sample_pomdp_traces
 
 
 def _trace(initial, *steps):
@@ -57,7 +58,7 @@ def test_iofpta_counts_multiplicities():
     tree = build_iofpta(traces)
     assert tree.root.freq == {("coin", "beep"): 2, ("button", "init"): 1}
     assert tree.root.totals == {"coin": 2, "button": 1}
-    assert tree.edge_mass() == 3
+    assert edge_mass(tree) == 3
 
 
 def test_iofpta_merges_common_prefixes():
@@ -83,7 +84,7 @@ def test_iofpta_compresses_unique_tails():
     assert beep.children == beep.freq == beep.totals == {}
     with pytest.raises(TypeError):
         beep.freq[("button", "tea")] = 1
-    assert tree.edge_mass() == 4
+    assert edge_mass(tree) == 4
 
     beep.expand()
     coffee = beep.children[("button", "coffee")]
@@ -91,7 +92,7 @@ def test_iofpta_compresses_unique_tails():
     assert beep.freq == {("button", "coffee"): 1}
     assert beep.totals == {"button": 1}
     assert (coffee.label, coffee.steps, coffee.pos) == ("coffee", steps, 2)
-    assert tree.edge_mass() == 4
+    assert edge_mass(tree) == 4
 
 
 def test_iofpta_rejects_differing_initial_observations():
@@ -307,7 +308,7 @@ def test_learner_probabilities_are_exact_count_ratios():
 def test_learner_conserves_frequency_mass():
     world = hot_beverage_world()
     traces = sample_pomdp_traces(world.pomdp, 1500, 6, seed=4)
-    tree_mass = build_iofpta(traces).edge_mass()
+    tree_mass = edge_mass(build_iofpta(traces))
     model = run_ioalergia(traces)
     model_mass = sum(
         c for counts in model.counts.values() for c in counts.values()
@@ -330,7 +331,7 @@ def test_learner_labels_cover_observed_symbols():
     traces = sample_pomdp_traces(world.pomdp, 2000, 6, seed=31)
     seen = {traces[0][0]} | {o for _, steps in traces for _, o in steps}
     model = run_ioalergia(traces)
-    assert {model.label[s] for s in model.reachable_states()} == seen
+    assert {model.label[s] for s in reachable_states(model)} == seen
 
 
 def test_learner_eps_controls_model_size():
@@ -432,7 +433,7 @@ _EPS_AL = st.one_of(st.floats(0.001, 0.27), st.floats(0.28, 1.0))
 @given(traces=_samples())
 def test_iofpta_edge_mass_counts_every_step(traces):
     tree = build_iofpta(traces)
-    assert tree.edge_mass() == sum(len(steps) for _, steps in traces)
+    assert edge_mass(tree) == sum(len(steps) for _, steps in traces)
 
 
 @settings(max_examples=100, deadline=None)

@@ -14,16 +14,16 @@ from poql.models import (
     Pomdp,
     ExtendedState,
     RewardObservationTrace,
-    discounted_return,
     dlmdp_to_dot,
     format_trace,
-    isomorphic,
     parse_trace,
     read_trace_file,
     reset_to_initial,
     step_to,
     write_trace_file,
 )
+
+from helpers import discounted_return, isomorphic, reachable_states
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +323,7 @@ def test_dlmdp_allows_partial_transitions():
     )
     assert step_to(reset_to_initial(m), "a", "t", m) == ExtendedState("t", 1, True)
     assert step_to(reset_to_initial(m), "b", "t", m) == ExtendedState("t", 0, False)
-    assert m.reachable_states() == [0, 1]
+    assert reachable_states(m) == [0, 1]
 
 
 # ---------------------------------------------------------------------------
