@@ -9,8 +9,8 @@ the grown state space, and all stored episodes are replayed into it; after
 the freeze point the model stays fixed and only Q-values keep improving.
 
 Every episode, whether training, random bootstrap or greedy evaluation, is
-played by `run_episode`; tabular agents differ only in how they key the
-Q-table.
+played by `run_episode`: a tabular agent acts on its Q-table key, a fixed
+policy on the latest observation.
 
 A training run is strictly sequential; runs with distinct seeds share nothing.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .envs import Environment
@@ -136,22 +136,27 @@ class AgentConfig:
     oracle_steps: float | None = None
 
     def __post_init__(self) -> None:
+        # Each annotation gives its field's type: `int` counts episodes,
+        # `float` takes any finite number, and `| None` also admits None.
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value is None and field.type.endswith("| None"):
+                continue
+            kind = int if field.type.startswith("int") else (int, float)
+            if (isinstance(value, bool) or not isinstance(value, kind)
+                    or isinstance(value, float) and not math.isfinite(value)):
+                what = "an integer" if kind is int else "a finite number"
+                raise ValueError(f"{field.name} must be {what}, got {value!r}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
-        if self.update_interval < 1:
-            raise ValueError("update_interval must be at least 1")
-        if self.max_episodes < 1:
-            raise ValueError("max_episodes must be at least 1")
+        for name in ("update_interval", "max_episodes", "bootstrap_episodes",
+                     "eval_every", "eval_episodes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.freeze_after is not None and self.freeze_after > self.max_episodes:
             raise ValueError("freeze_after cannot exceed max_episodes")
-        if self.bootstrap_episodes < 1:
-            raise ValueError("bootstrap_episodes must be at least 1")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be at least 1")
-        if self.eval_episodes < 1:
-            raise ValueError("eval_episodes must be at least 1")
         LearnerConfig(eps_al=self.eps_al)  # raises on an eps_al outside (0, 1]
 
     def resolved_freeze_after(self) -> int:
@@ -185,11 +190,8 @@ class TabularAgent:
     """A Q-learner's state: Q-table, episode history and evaluation rows.
 
     The Q-table key is the tracker's position on `model` (see `step_to`), or
-    the raw observation when `model` is None. `run_episode` keys a
-    TabularAgent's episode directly by that rule; the protocol methods
-    begin_episode(obs) -> key, choose(key, epsilon, rng) -> action and
-    observe(action, obs) -> key give the same keys to a caller that steps
-    the environment itself.
+    the raw observation when `model` is None. `run_episode` and `replay` are
+    the only code that applies that rule.
     """
 
     model: DeterministicLabeledMdp | None = None
@@ -203,31 +205,13 @@ class TabularAgent:
         self.eval_rows: list[dict] = []
         self.episodes_trained = 0
         self.stop_episode: int | None = None
-        self.key = None
-
-    def begin_episode(self, obs: str):
-        model = self.model
-        self.key = key = obs if model is None else reset_to_initial(model)
-        return key
-
-    def choose(self, key, epsilon: float, rng: random.Random) -> str:
-        return get_action(self.q, key, epsilon, self.actions, rng)
-
-    def observe(self, action: str, obs: str):
-        model = self.model
-        self.key = key = obs if model is None else step_to(self.key, action, obs, model)
-        return key
 
     def relearn(self, episode: int, log: Callable[[str], None] | None) -> None:
         """Called after every training episode; only a model-based agent acts."""
 
 
 class PoqlAgent(TabularAgent):
-    """Trained artifact: learned model, extended Q-table, and run history.
-
-    The key is the tracker's position on the learned model, the
-    `ExtendedState` that `reset_to_initial` and `step_to` return.
-    """
+    """Trained artifact: learned model, extended Q-table, and run history."""
 
     def __init__(self, model: DeterministicLabeledMdp, q: QTable, config: AgentConfig):
         super().__init__(q, config)
@@ -262,14 +246,8 @@ class RandomAgent:
         self.actions = tuple(actions)
         self.gamma = gamma
 
-    def begin_episode(self, obs: str) -> None:
-        return None
-
-    def choose(self, key, epsilon: float, rng: random.Random) -> str:
+    def choose(self, obs: str, rng: random.Random) -> str:
         return self.actions[rng.randrange(len(self.actions))]
-
-    def observe(self, action: str, obs: str) -> None:
-        return None
 
 
 class RepeatActionAgent:
@@ -279,14 +257,8 @@ class RepeatActionAgent:
         self.action = action
         self.gamma = gamma
 
-    def begin_episode(self, obs: str) -> None:
-        return None
-
-    def choose(self, key, epsilon: float, rng: random.Random) -> str:
+    def choose(self, obs: str, rng: random.Random) -> str:
         return self.action
-
-    def observe(self, action: str, obs: str) -> None:
-        return None
 
 
 def run_episode(
@@ -299,26 +271,29 @@ def run_episode(
 ) -> tuple[str, float, tuple[tuple[str, float, str], ...]] | float:
     """Play one episode and return (initial obs, initial reward, steps).
 
-    Each step the agent chooses an action for its current key, the
-    environment steps, and the new observation gives the next key. A
-    TabularAgent's step calls `get_action` and `step_to` directly (without
-    a model, as the baseline, the raw observation is the key); any other
-    agent plays through begin_episode/choose/observe. With
-    learn=(alpha, gamma) every step also backs up agent.q. The result
-    unpacks into a RewardObservationTrace. With discount=gamma no steps are
-    recorded, and the result is the discounted return of the step rewards,
-    summed as `total += factor * r; factor *= gamma` from total 0.0 and
-    factor 1.0.
+    A TabularAgent's step calls `get_action` for its current key, steps the
+    environment, and takes the next key from `step_to` on its model (without
+    a model, as the baseline, the raw observation is the key). With
+    learn=(alpha, gamma) every step also backs up agent.q. Any other agent
+    is a fixed policy: each step plays agent.choose(latest observation,
+    rng), and learn raises TypeError before the environment is reset. The
+    result unpacks into a RewardObservationTrace. With discount=gamma no
+    steps are recorded, and the result is the discounted return of the step
+    rewards, summed as `total += factor * r; factor *= gamma` from total 0.0
+    and factor 1.0.
     """
+    tabular = isinstance(agent, TabularAgent)
+    if learn is not None:
+        if not tabular:
+            raise TypeError(f"learn needs a TabularAgent, got {type(agent).__name__}")
+        alpha, gamma = learn
     obs, reward = env.reset()
     step = env.step
-    if learn is not None:
-        alpha, gamma = learn
     steps = [] if discount is None else None
     total = 0.0
     factor = 1.0
     done = False
-    if isinstance(agent, TabularAgent):
+    if tabular:
         q = agent.q
         actions = agent.actions
         model = agent.model
@@ -336,19 +311,16 @@ def run_episode(
                 steps.append((action, r, new_obs))
             key = nxt
     else:
-        key = agent.begin_episode(obs)
+        choose = agent.choose
+        new_obs = obs
         while not done:
-            action = agent.choose(key, epsilon, rng)
+            action = choose(new_obs, rng)
             new_obs, r, done = step(action)
-            nxt = agent.observe(action, new_obs)
-            if learn is not None:
-                update_q_values(agent.q, key, action, r, nxt, alpha, gamma)
             if steps is None:
                 total += factor * r
                 factor *= discount
             else:
                 steps.append((action, r, new_obs))
-            key = nxt
     if steps is None:
         return total
     return obs, reward, tuple(steps)

@@ -252,14 +252,12 @@ def load_checkpoint(path):
         model_path = out / "model.json"
         model, model_digest = load_model(model_path)
         _check_hash(model_path, model_digest, digest)
-        with _loading(config_path):
-            actions = tuple(map(check_symbol, exp_config.get("actions") or model.actions))
     elif kind == "obs_baseline":
         model = None
-        with _loading(config_path):
-            actions = tuple(map(check_symbol, exp_config["actions"]))
     else:
         raise ConfigError(f"{config_path}: cannot reload agent kind {kind!r}")
+    with _loading(config_path):
+        actions = tuple(map(check_symbol, exp_config["actions"]))
     fields_digest = config_hash({k: v for k, v in exp_config.items() if k != "config_hash"})
     if fields_digest != digest:
         try:

@@ -154,6 +154,9 @@ def cmd_eval(args) -> int:
         env = build_environment(config, seed=args.seed)
     except ConfigError as exc:
         raise ConfigError(f"{config_path}: {exc}") from exc
+    if agent.actions != env.actions:
+        raise ConfigError(f"{config_path}: actions {list(agent.actions)} are not "
+                          f"the environment's {list(env.actions)}")
     stats = evaluate(agent, env, args.episodes, args.seed)
     print(json.dumps({
         "environment": env.name,

@@ -304,9 +304,12 @@ def run_ioalergia(
     """Learn a deterministic labeled MDP from a multiset of observation traces.
 
     The tree root becomes the initial state. Blue nodes (non-promoted children
-    of promoted states) are processed in (promotion index, action, observation)
-    order and merged into the first compatible promoted state, or promoted
-    themselves. The same sample in the same order yields the identical model.
+    of promoted states) are processed in passes over the promoted states in
+    promotion order: each state's blue children go in (action, observation)
+    order, including those that a fold grafts onto it meanwhile, and the
+    passes repeat until no blue node is left. Each blue node is merged into
+    the first compatible promoted state, or promoted itself. The same sample
+    in the same order yields the identical model.
     """
     tree = build_iofpta(traces)
     root = tree.root

@@ -3,6 +3,7 @@ written out plainly, to check the package against."""
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_right
 from typing import Mapping, Sequence
@@ -149,3 +150,92 @@ def sample_pomdp_traces(
             steps.append((action, pomdp.obs(state)))
         traces.append((pomdp.obs(mdp.initial), tuple(steps)))
     return traces
+
+
+class _PlainNode:
+    """Uncompressed prefix tree node: edge frequencies and children, both
+    keyed by (action, observation), and the promotion index once red."""
+
+    def __init__(self, label: str):
+        self.label = label
+        self.freq: dict[tuple[str, str], int] = {}
+        self.children: dict[tuple[str, str], _PlainNode] = {}
+        self.red: int | None = None
+
+    def total(self, action: str) -> int:
+        return sum(f for (a, _), f in self.freq.items() if a == action)
+
+
+def reference_ioalergia(traces: Sequence[ObsTrace], eps_al: float) -> dict:
+    """IOAlergia written out plainly, as the `model_to_dict` of its model.
+
+    No tail is compressed: every prefix is a node. Compatibility and folding
+    recurse. Passes run over the red states in promotion order, and each
+    state's blue children go in (action, observation) order, children that a
+    fold grafts on included; the passes repeat until no blue node is left. A
+    blue node merges into the first compatible red state or is promoted.
+    """
+    root = _PlainNode(traces[0][0])
+    for _, steps in traces:
+        node = root
+        for key in steps:
+            node.freq[key] = node.freq.get(key, 0) + 1
+            node = node.children.setdefault(key, _PlainNode(key[1]))
+    scale = math.sqrt(0.5 * math.log(2.0 / eps_al))
+
+    def compatible(r: _PlainNode, b: _PlainNode) -> bool:
+        if r.label != b.label:
+            return False
+        for action in {a for a, _ in b.freq}:
+            n1, n2 = r.total(action), b.total(action)
+            if n1 == 0:
+                continue
+            bound = scale * (1.0 / math.sqrt(n1) + 1.0 / math.sqrt(n2))
+            for key in {k for k in (*r.freq, *b.freq) if k[0] == action}:
+                if abs(r.freq.get(key, 0) / n1 - b.freq.get(key, 0) / n2) >= bound:
+                    return False
+        return all(compatible(r.children[key], child)
+                   for key, child in b.children.items() if key in r.children)
+
+    def fold(target: _PlainNode, source: _PlainNode) -> None:
+        for key, count in source.freq.items():
+            target.freq[key] = target.freq.get(key, 0) + count
+            if key in target.children:
+                fold(target.children[key], source.children[key])
+            else:
+                target.children[key] = source.children[key]
+
+    root.red = 0
+    red = [root]
+    blue_left = True
+    while blue_left:
+        blue_left = False
+        for node in red:  # also visits the states promoted during the pass
+            while blues := [k for k, child in node.children.items() if child.red is None]:
+                blue_left = True
+                key = min(blues)
+                blue = node.children[key]
+                target = next((r for r in red if compatible(r, blue)), None)
+                if target is None:
+                    blue.red = len(red)
+                    red.append(blue)
+                else:
+                    node.children[key] = target
+                    fold(target, blue)
+
+    transitions = []
+    for node in red:
+        counts: dict[str, dict[int, int]] = {}
+        for key, count in node.freq.items():
+            dsts = counts.setdefault(key[0], {})
+            dst = node.children[key].red
+            dsts[dst] = dsts.get(dst, 0) + count
+        for action, dsts in sorted(counts.items()):
+            transitions += [{"src": node.red, "action": action, "dst": dst, "count": c,
+                             "total": sum(dsts.values())} for dst, c in sorted(dsts.items())]
+    return {
+        "initial": 0,
+        "actions": sorted({t["action"] for t in transitions}),
+        "states": [{"id": node.red, "label": node.label} for node in red],
+        "transitions": transitions,
+    }

@@ -216,18 +216,8 @@ def test_train_learns_the_delayed_route(trained_beverage):
     the oracle policy on the exact belief model does the same."""
     agent, env = trained_beverage
     env.reseed(123)
-    obs, _ = env.reset()
-    key = agent.begin_episode(obs)
-    rng = random.Random(0)
-    actions = []
-    for _ in range(3):
-        a = agent.choose(key, 0.0, rng)
-        actions.append(a)
-        obs, _, done = env.step(a)
-        key = agent.observe(a, obs)
-        if done:
-            break
-    assert actions == ["coin", "coin", "button"]
+    _, _, steps = run_episode(env, agent, random.Random(0))
+    assert [action for action, _, _ in steps[:3]] == ["coin", "coin", "button"]
 
 
 def test_train_relearn_schedule():
@@ -349,15 +339,22 @@ def test_evaluate_reports_rounded_steps(trained_beverage):
 
 
 def _reference_episode(env, agent, rng, epsilon, learn):
-    """`run_episode` spelled out through begin_episode/choose/observe."""
+    """`run_episode` spelled out in one loop. A tabular agent picks by
+    `get_action` for a key that starts at `reset_to_initial` and moves by
+    `step_to` (the raw observation without a model); a fixed policy's key is
+    the latest observation, passed to its `choose`."""
     obs, reward = env.reset()
-    key = agent.begin_episode(obs)
+    model = getattr(agent, "model", None)
+    key = obs if model is None else reset_to_initial(model)
     steps = []
     done = False
     while not done:
-        action = agent.choose(key, epsilon, rng)
+        if hasattr(agent, "q"):
+            action = get_action(agent.q, key, epsilon, agent.actions, rng)
+        else:
+            action = agent.choose(key, rng)
         new_obs, r, done = env.step(action)
-        nxt = agent.observe(action, new_obs)
+        nxt = new_obs if model is None else step_to(key, action, new_obs, model)
         if learn is not None:
             update_q_values(agent.q, key, action, r, nxt, *learn)
         steps.append((action, r, new_obs))
@@ -366,7 +363,7 @@ def _reference_episode(env, agent, rng, epsilon, learn):
 
 
 def _reference_evaluate(agent, env, n_episodes, seed) -> EvalStats:
-    """`evaluate` spelled out: protocol rollouts that keep every episode's
+    """`evaluate` spelled out: reference rollouts that keep every episode's
     rewards list and score it with `discounted_return`."""
     env.reseed(f"{seed}|env")
     rng = random.Random(f"{seed}|ties")
@@ -387,7 +384,7 @@ def _reference_evaluate(agent, env, n_episodes, seed) -> EvalStats:
 
 def test_evaluate_mean_return_matches_discounted_return(trained_beverage):
     """Recompute the evaluation from an identical rollout, for the poql
-    agent and the baseline (direct rollouts) and a RandomAgent (protocol)."""
+    agent, the baseline and a RandomAgent."""
     agent, env = trained_beverage
     baseline = baseline_obs_q(env, _quick_config(), seed=7)
     for policy in (agent, baseline, RandomAgent(env.actions)):
@@ -420,14 +417,8 @@ def test_evaluate_oracle_policy_matches_shortest_path():
     class OracleAgent:
         gamma = 0.9
 
-        def begin_episode(self, obs):
-            return obs
-
-        def choose(self, obs, epsilon, rng):
+        def choose(self, obs, rng):
             return policy[obs_to_state[obs]]
-
-        def observe(self, action, obs):
-            return obs
 
     frontier = deque([(spec.start, 0)])
     seen = {spec.start}
@@ -507,7 +498,7 @@ def test_evaluate_matches_the_rewards_list_reference(
 
 @settings(max_examples=60, deadline=None)
 @given(
-    kind=st.sampled_from(["baseline", "poql"]),
+    kind=st.sampled_from(["random", "baseline", "poql"]),
     env_name=st.sampled_from(EVAL_ENVS),
     epsilon=st.sampled_from([0.0, 0.3, 1.0]),
     learn=st.sampled_from([None, (0.1, 0.99), (1.0, 0.0)]),
@@ -517,22 +508,41 @@ def test_evaluate_matches_the_rewards_list_reference(
 def test_run_episode_matches_the_protocol_loop(
     eval_agents, kind, env_name, epsilon, learn, n_episodes, seed
 ):
-    """A tabular agent's direct episode loop plays, learns and draws
-    exactly as the begin_episode/choose/observe loop does."""
+    """`run_episode` plays, learns and draws exactly as the reference loop
+    `_reference_episode` does, for tabular agents and a fixed policy."""
     env, poql_agent, baseline = eval_agents[env_name]
-    trained = poql_agent if kind == "poql" else baseline
     results = []
     for play in (run_episode, _reference_episode):
-        agent = copy.copy(trained)
-        agent.q = copy.deepcopy(trained.q)
+        if kind == "random":
+            agent, learn, rows = RandomAgent(env.actions), None, None
+        else:
+            agent = copy.copy(poql_agent if kind == "poql" else baseline)
+            agent.q = copy.deepcopy(agent.q)
+            rows = agent.q._rows
         env.reseed(seed)
         rng = random.Random(seed)
         episodes = []
         for _ in range(n_episodes):
             episodes.append((play(env, agent, rng, epsilon, learn),
                              env.goal_reached, env.step_count))
-        results.append((episodes, agent.q._rows, rng.getstate()))
+        results.append((episodes, rows, rng.getstate()))
     assert results[0] == results[1]
+
+
+class _UnresetEnvironment:
+    """An environment whose reset fails, to show a call never got that far."""
+
+    def reset(self):
+        raise AssertionError("reset before the learn check")
+
+
+@pytest.mark.parametrize("policy", [RandomAgent(ACTIONS), RepeatActionAgent("up")],
+                         ids=["random", "repeat"])
+def test_run_episode_refuses_learn_for_a_fixed_policy(policy):
+    """A fixed policy has no Q-table to back up, so learn is refused before
+    the episode starts."""
+    with pytest.raises(TypeError, match="learn needs a TabularAgent"):
+        run_episode(_UnresetEnvironment(), policy, random.Random(0), learn=(0.1, 0.99))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import shutil
 
 import pytest
@@ -113,6 +114,22 @@ def test_invalid_agent_config_rejected(tmp_path, capsys, agent, bad):
     assert main(["train", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: invalid agent_config: ") and err.count("\n") == 1
+    assert not (tmp_path / "nope").exists()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("oracle_steps", math.nan), ("oracle_steps", "26"), ("alpha", True),
+    ("max_episodes", 20.5), ("max_episodes", True), ("bootstrap_episodes", 5.5),
+    ("eval_episodes", 2.5), ("epsilon_decay_episodes", "10"),
+])
+def test_train_rejects_agent_config_values_of_the_wrong_type(tmp_path, capsys, field, value):
+    """Episode counts must be integers and the other numbers finite reals,
+    never booleans; each is refused before a run directory exists."""
+    cfg = _config(tmp_path / "nope", **{field: value})
+    path = _write_config(tmp_path, "types.json", cfg)
+    kind = "an integer" if field.endswith("episodes") else "a finite number"
+    assert _error_line(["train", str(path)], capsys) == (
+        f"invalid agent_config: {field} must be {kind}, got {value!r}")
     assert not (tmp_path / "nope").exists()
 
 
@@ -460,6 +477,36 @@ def test_eval_reports_config_without_environment(beverage_run, tmp_path, capsys)
     (ckpt / "config.json").write_text(json.dumps(config))
     assert _eval_error(ckpt, capsys).startswith(
         f"{ckpt / 'config.json'}: invalid environment: ")
+
+
+def _delete_actions(config):
+    del config["actions"]
+
+
+def _reorder_actions(config):
+    config["actions"].reverse()
+
+
+def _add_action(config):
+    config["actions"].append("kick")
+
+
+@pytest.mark.parametrize("edit", [_delete_actions, _reorder_actions, _add_action],
+                         ids=["deleted", "reordered", "extra"])
+def test_eval_rejects_actions_other_than_the_environments(beverage_run, tmp_path, capsys,
+                                                          edit):
+    """`actions` lies outside config_hash, so eval compares it with the
+    environment's own actions and refuses a checkpoint without it."""
+    ckpt = _checkpoint_copy(beverage_run, tmp_path)
+    config = json.loads((ckpt / "config.json").read_text())
+    edit(config)
+    (ckpt / "config.json").write_text(json.dumps(config))
+    if edit is _delete_actions:
+        expected = f"{ckpt / 'config.json'}: missing key 'actions'"
+    else:
+        expected = (f"{ckpt / 'config.json'}: actions {config['actions']} are not "
+                    f"the environment's ['coin', 'button']")
+    assert _eval_error(ckpt, capsys) == expected
 
 
 def _edit_environment(config):

@@ -30,7 +30,7 @@ from poql.models import (
     write_trace_file,
 )
 
-from helpers import edge_mass, reachable_states, sample_pomdp_traces
+from helpers import edge_mass, reachable_states, reference_ioalergia, sample_pomdp_traces
 
 
 def _trace(initial, *steps):
@@ -648,6 +648,27 @@ def test_compatible_keeps_the_float_rounding_of_the_per_key_test():
             assert not compatible(tail, other, eps_al)
             decided_by.add("other key" if rest > own else "own key")
     assert decided_by == {"own key", "other key"}
+
+
+# ---------------------------------------------------------------------------
+# run_ioalergia against a plain IOAlergia
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from([n for n in ENVIRONMENT_NAMES if n != "grid"]),
+       n_traces=st.integers(1, 40), length=st.integers(0, 15),
+       repeats=st.lists(st.sampled_from([1, 1, 2, 5, 12]), min_size=1, max_size=8),
+       seed=st.integers(0, 2**32), eps_al=_EPS_AL_AROUND_TAIL_LIMIT)
+def test_run_ioalergia_matches_a_plain_ioalergia(name, n_traces, length, repeats, seed,
+                                                 eps_al):
+    """Whole learned models equal those of `reference_ioalergia`, which
+    expands every tree node, on uniform-random POMDP samples whose traces
+    repeat, with eps_al on both sides of 2/e^2."""
+    traces = sample_pomdp_traces(make_environment(name).pomdp, n_traces, length, seed)
+    sample = [trace for i, trace in enumerate(traces)
+              for _ in range(repeats[i % len(repeats)])]
+    model = run_ioalergia(sample, LearnerConfig(eps_al))
+    assert model_to_dict(model) == reference_ioalergia(sample, eps_al)
 
 
 # ---------------------------------------------------------------------------
