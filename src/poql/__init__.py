@@ -3,12 +3,11 @@ deterministic labeled MDPs learned passively from the agent's own traces."""
 
 from .agent import (
     AgentConfig,
-    BaselineAgent,
     EvalStats,
-    PoqlAgent,
     QTable,
     RandomAgent,
     RepeatActionAgent,
+    TabularAgent,
     baseline_obs_q,
     evaluate,
     get_action,

@@ -33,30 +33,19 @@ from .models import (
 )
 
 
-class QTable:
-    """Map from (state key, action) to a real value, 0 for unseen keys.
+class QTable(dict):
+    """Map from a state key to its row of action values, one per action.
 
-    Rows materialize lazily, so keys never paired with an action keep the
-    default and never appear in exports.
+    Rows materialize lazily, so keys never paired with an action have no row
+    (every value 0) and never appear in exports.
     """
 
+    __slots__ = ("actions", "index")
+
     def __init__(self, actions: Sequence[str]):
+        super().__init__()
         self.actions = tuple(actions)
-        self._index = {a: i for i, a in enumerate(self.actions)}
-        self._rows: dict[object, list[float]] = {}
-
-    def value(self, state, action: str) -> float:
-        row = self._rows.get(state)
-        return row[self._index[action]] if row is not None else 0.0
-
-    def row(self, state) -> list[float] | None:
-        return self._rows.get(state)
-
-    def states(self) -> Iterable:
-        return self._rows.keys()
-
-    def __len__(self) -> int:
-        return len(self._rows)
+        self.index = {a: i for i, a in enumerate(self.actions)}
 
 
 def get_action(
@@ -69,7 +58,7 @@ def get_action(
     """
     if epsilon > 0.0 and rng.random() < epsilon:
         return actions[rng.randrange(len(actions))]
-    row = q._rows.get(state)
+    row = q.get(state)
     if row is None:
         return actions[rng.randrange(len(actions))]
     best = max(row)
@@ -83,12 +72,11 @@ def update_q_values(
     q: QTable, state, action: str, reward: float, next_state, alpha: float, gamma: float
 ) -> None:
     """One temporal-difference backup toward reward + gamma * best next value."""
-    rows = q._rows
-    row = rows.get(state)
+    row = q.get(state)
     if row is None:
-        row = rows[state] = [0.0] * len(q.actions)
-    i = q._index[action]
-    next_row = rows.get(next_state)
+        row = q[state] = [0.0] * len(q.actions)
+    i = q.index[action]
+    next_row = q.get(next_state)
     max_next = max(next_row) if next_row is not None else 0.0
     row[i] = (1.0 - alpha) * row[i] + alpha * (reward + gamma * max_next)
 
@@ -187,42 +175,35 @@ def round_steps(x: float) -> int:
 
 
 class TabularAgent:
-    """A Q-learner's state: Q-table, episode history and evaluation rows.
+    """A Q-learner: Q-table, optional learned model, episode history and
+    evaluation rows.
 
     The Q-table key is the tracker's position on `model` (see `step_to`), or
-    the raw observation when `model` is None. `run_episode` and `replay` are
-    the only code that applies that rule.
+    the raw observation when `model` is None, as for the observation-only
+    baseline. `run_episode` and `replay` are the only code that applies that
+    rule.
     """
 
-    model: DeterministicLabeledMdp | None = None
-
-    def __init__(self, q: QTable, config: AgentConfig):
+    def __init__(self, q: QTable, config: AgentConfig,
+                 model: DeterministicLabeledMdp | None = None):
         self.q = q
         self.config = config
+        self.model = model
         self.actions = q.actions
         self.gamma = config.gamma
         self.history: list[RewardObservationTrace] = []
         self.eval_rows: list[dict] = []
+        self.relearn_episodes: list[int] = []
         self.episodes_trained = 0
         self.stop_episode: int | None = None
 
     def relearn(self, episode: int, log: Callable[[str], None] | None) -> None:
-        """Called after every training episode; only a model-based agent acts."""
-
-
-class PoqlAgent(TabularAgent):
-    """Trained artifact: learned model, extended Q-table, and run history."""
-
-    def __init__(self, model: DeterministicLabeledMdp, q: QTable, config: AgentConfig):
-        super().__init__(q, config)
-        self.model = model
-        self.relearn_episodes: list[int] = []
-
-    def relearn(self, episode: int, log: Callable[[str], None] | None) -> None:
-        """Every update_interval episodes before the freeze point, relearn the
-        model from the full history and replay the history into a fresh Q-table."""
+        """With a model, every update_interval episodes before the freeze point,
+        relearn it from the full history and replay the history into a fresh
+        Q-table. Without one, do nothing."""
         config = self.config
-        if episode >= config.resolved_freeze_after() or episode % config.update_interval:
+        if (self.model is None or episode >= config.resolved_freeze_after()
+                or episode % config.update_interval):
             return
         self.model = _learn_model(self.history, config)
         self.relearn_episodes.append(episode)
@@ -233,10 +214,6 @@ class PoqlAgent(TabularAgent):
                 f"episode {episode}: relearned model with "
                 f"{len(self.model.states)} states from {len(self.history)} traces"
             )
-
-
-class BaselineAgent(TabularAgent):
-    """Observation-only Q-learner: no model, so the raw observation is the key."""
 
 
 class RandomAgent:
@@ -415,7 +392,7 @@ def train(
     config: AgentConfig = AgentConfig(),
     seed: int | str = 0,
     log: Callable[[str], None] | None = None,
-) -> PoqlAgent:
+) -> TabularAgent:
     """Train a poql agent on an environment.
 
     Bootstraps an initial model from random episodes, then runs epsilon-greedy
@@ -431,7 +408,7 @@ def train(
         RewardObservationTrace(*run_episode(env, explorer, rng))
         for _ in range(config.bootstrap_episodes)
     ]
-    agent = PoqlAgent(_learn_model(history, config), QTable(env.actions), config)
+    agent = TabularAgent(QTable(env.actions), config, _learn_model(history, config))
     agent.history = history
     return _train_loop(env, agent, rng, seed, log)
 
@@ -441,11 +418,11 @@ def baseline_obs_q(
     config: AgentConfig = AgentConfig(),
     seed: int | str = 0,
     log: Callable[[str], None] | None = None,
-) -> BaselineAgent:
+) -> TabularAgent:
     """Train the observation-only baseline: the same loop keyed by raw
     observations, with no learned model, tracker, or replay."""
     rng = random.Random(f"{seed}|agent")
-    return _train_loop(env, BaselineAgent(QTable(env.actions), config), rng, seed, log)
+    return _train_loop(env, TabularAgent(QTable(env.actions), config), rng, seed, log)
 
 
 def _eval_row(episode: int, stats: EvalStats, agent) -> dict:

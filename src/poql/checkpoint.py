@@ -19,13 +19,12 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
-from .agent import AgentConfig, BaselineAgent, PoqlAgent, QTable
+from .agent import AgentConfig, QTable, TabularAgent
 from .envs import Environment, make_environment
 from .models import (
     DeterministicLabeledMdp,
     ExtendedState,
     atomic_open,
-    check_symbol,
     dlmdp_to_dot,
     read_trace_file,
     write_trace_file,
@@ -42,7 +41,7 @@ def config_hash(config: dict) -> str:
     The output location does not influence results, so two runs of the same
     experiment share a hash (and, given the same seed, identical artifacts).
     """
-    semantic = {k: v for k, v in config.items() if k not in ("output_dir", "actions")}
+    semantic = {k: v for k, v in config.items() if k != "output_dir"}
     canonical = json.dumps(semantic, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
@@ -90,8 +89,7 @@ def model_from_dict(data: dict) -> DeterministicLabeledMdp:
 
 def qtable_rows(q: QTable) -> list[str]:
     rows = []
-    for state in q.states():
-        row = q.row(state)
+    for state, row in q.items():
         if isinstance(state, ExtendedState):
             prefix = (state.obs, str(state.state), _FLAG[state.defined])
         else:
@@ -116,11 +114,11 @@ def qtable_from_rows(lines: list[str], actions: tuple[str, ...]) -> QTable:
                 key: object = obs
             else:
                 key = ExtendedState(obs, int(state), _FLAG_BACK[flag])
-            index = q._index[action]
+            index = q.index[action]
             number = float(value)
         except (KeyError, ValueError) as exc:
             raise ValueError(f"{lineno}: malformed Q-table row {line!r}") from exc
-        q._rows.setdefault(key, [0.0] * len(actions))[index] = number
+        q.setdefault(key, [0.0] * len(actions))[index] = number
     return q
 
 
@@ -190,9 +188,6 @@ def save_checkpoint(path, agent, exp_config: dict) -> None:
     with _writing(out):
         out.mkdir(parents=True, exist_ok=True)
     digest = config_hash(exp_config)
-    # The action tuple rides along for reload; it is derived state, so it
-    # stays outside the hash.
-    exp_config = {**exp_config, "actions": list(agent.actions)}
     write_text_atomic(
         out / "config.json",
         json.dumps({"config_hash": digest, **exp_config}, indent=2, sort_keys=True),
@@ -232,8 +227,9 @@ def load_checkpoint(path):
     offending file, and with its line for `qtable.txt` and `traces.txt`. The
     config hash of `qtable.txt` and `model.json` must be the one in
     `config.json`, and so must the hash of `config.json`'s own fields, so an
-    edited field never pairs the agent with another experiment. An edited
-    environment that no longer builds is reported as invalid.
+    edited field never pairs the agent with another experiment. The agent's
+    actions are those of the environment that `config.json` names; an
+    environment that does not build is reported as invalid.
     """
     out = Path(path)
     config_path = out / "config.json"
@@ -256,24 +252,19 @@ def load_checkpoint(path):
         model = None
     else:
         raise ConfigError(f"{config_path}: cannot reload agent kind {kind!r}")
-    with _loading(config_path):
-        actions = tuple(map(check_symbol, exp_config["actions"]))
+    try:
+        env = build_environment(exp_config, seed=0)
+    except ConfigError as exc:
+        raise ConfigError(f"{config_path}: {exc}") from exc
     fields_digest = config_hash({k: v for k, v in exp_config.items() if k != "config_hash"})
     if fields_digest != digest:
-        try:
-            build_environment(exp_config, seed=0)
-        except ConfigError as exc:
-            raise ConfigError(f"{config_path}: {exc}") from exc
         raise ConfigError(f"{config_path}: config_hash {digest}, "
                           f"but its fields hash to {fields_digest}")
     try:
-        q = qtable_from_rows(qtable_lines, actions)
+        q = qtable_from_rows(qtable_lines, env.actions)
     except ValueError as exc:
         raise ConfigError(f"{qtable_path}:{exc}") from exc
-    if model is not None:
-        agent = PoqlAgent(model, q, agent_config)
-    else:
-        agent = BaselineAgent(q, agent_config)
+    agent = TabularAgent(q, agent_config, model)
     traces_path = out / "traces.txt"
     if traces_path.exists():
         try:

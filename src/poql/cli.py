@@ -39,6 +39,14 @@ RUN_RECORD_COLUMNS = (
     "q_rows",
     "config_hash",
 )
+# The checkpoint files that each agent kind does not write. A new run removes
+# any that an earlier run left, so they never pass for its own; the files it
+# does write are replaced in place.
+UNWRITTEN_FILES = {
+    "poql": (),
+    "obs_baseline": ("model.json", "model.dot"),
+    "random": ("config.json", "model.json", "model.dot", "qtable.txt", "traces.txt"),
+}
 
 
 def load_experiment_config(path) -> dict:
@@ -111,6 +119,9 @@ def cmd_train(args) -> int:
         "seed": config["seed"],
     }
     write_text_atomic(out / "run.json", json.dumps(run_meta, indent=2, sort_keys=True))
+    for name in UNWRITTEN_FILES[config["agent"]]:
+        with _writing(out / name):
+            (out / name).unlink(missing_ok=True)
 
     started = time.perf_counter()
     log = print if not args.quiet else None
@@ -149,14 +160,7 @@ def cmd_eval(args) -> int:
     if args.episodes < 1:
         raise ConfigError(f"--episodes must be at least 1, got {args.episodes}")
     agent, config = load_checkpoint(args.checkpoint)
-    config_path = Path(args.checkpoint) / "config.json"
-    try:
-        env = build_environment(config, seed=args.seed)
-    except ConfigError as exc:
-        raise ConfigError(f"{config_path}: {exc}") from exc
-    if agent.actions != env.actions:
-        raise ConfigError(f"{config_path}: actions {list(agent.actions)} are not "
-                          f"the environment's {list(env.actions)}")
+    env = build_environment(config, seed=args.seed)  # load_checkpoint has built it
     stats = evaluate(agent, env, args.episodes, args.seed)
     print(json.dumps({
         "environment": env.name,

@@ -84,6 +84,8 @@ class GridSpec:
         observed as `toggle` (a label only: it changes no transition), and
         digits 1-9 for room observations. Whitespace between glyphs is
         ignored; rows must be equally wide."""
+        if not isinstance(text, str):
+            raise ValueError(f"grid layout must be a string, got {text!r}")
         rows = [[ch for ch in line if not ch.isspace()] for line in text.splitlines()]
         rows = [r for r in rows if r]
         if not rows:
@@ -312,13 +314,7 @@ def confusing_officeworld_world() -> World:
     return grid_pomdp(_office_spec(aliased=True))
 
 
-#: Column-world height; chosen so that blindly repeating `up` from the start
-#: reaches the goal within the step cap in about half of all episodes.
-GRAVITY_HEIGHT = 12
-GRAVITY_WIDTH = 6
-
-
-def gravity_world(width: int = GRAVITY_WIDTH, height: int = GRAVITY_HEIGHT) -> World:
+def gravity_world() -> World:
     """Column world with a stochastic downward pull and a toggle that stops it.
 
     The traversable cells form a climbing column on the left and a floor row
@@ -329,6 +325,9 @@ def gravity_world(width: int = GRAVITY_WIDTH, height: int = GRAVITY_HEIGHT) -> W
     the top of the start column, so the direct climb is a coin-flip random
     walk, while the toggle route is deterministic after the floor traversal.
     """
+    # The height lets blindly repeating `up` from the start reach the goal
+    # within the step cap in about half of all episodes.
+    width, height = 6, 12
     column = [(0, y) for y in range(height)]
     floor = [(x, height - 1) for x in range(1, width)]
     cells = column + floor
@@ -515,9 +514,7 @@ _BUILDERS = {
     ),
     "officeworld": lambda params: officeworld_world(),
     "confusing_officeworld": lambda params: confusing_officeworld_world(),
-    "gravity": lambda params: gravity_world(
-        params.pop("width", GRAVITY_WIDTH), params.pop("height", GRAVITY_HEIGHT)
-    ),
+    "gravity": lambda params: gravity_world(),
     "thinmaze": lambda params: thinmaze_world(),
     "grid": lambda params: grid_pomdp(
         GridSpec.from_text(

@@ -167,10 +167,10 @@ def test_criterion_3_update_matches_closed_form():
             alpha = rng.uniform(1e-6, 1.0)
             gamma = rng.uniform(0.0, 0.999)
             q = QTable(actions)
-            q._rows["s"] = [old, -1e9, -1e9]
-            q._rows["t"] = [max_next, max_next - 1, max_next - 2]
+            q["s"] = [old, -1e9, -1e9]
+            q["t"] = [max_next, max_next - 1, max_next - 2]
             update_q_values(q, "s", "a", reward, "t", alpha, gamma)
-            assert q.value("s", "a") == (1.0 - alpha) * old + alpha * (
+            assert q["s"][0] == (1.0 - alpha) * old + alpha * (
                 reward + gamma * max_next
             )
 
@@ -205,7 +205,7 @@ def test_criterion_4_replay_equals_online():
                 ext = nxt
             replayed = QTable(env.actions)
             replay(replayed, model, [episode], 0.1, 0.99)
-            assert replayed._rows == online._rows
+            assert replayed == online
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ from poql.agent import (
     AgentConfig,
     EvalStats,
     ExtendedState,
-    PoqlAgent,
     QTable,
     RandomAgent,
     RepeatActionAgent,
+    TabularAgent,
     baseline_obs_q,
     evaluate,
     get_action,
@@ -85,7 +85,7 @@ def _reference_get_action(q, state, epsilon, actions, rng):
     """Epsilon-greedy choice that always builds the list of tied maxima."""
     if epsilon > 0.0 and rng.random() < epsilon:
         return actions[rng.randrange(len(actions))]
-    row = q.row(state)
+    row = q.get(state)
     if row is None:
         return actions[rng.randrange(len(actions))]
     best = max(row)
@@ -105,7 +105,7 @@ _Q_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
 def test_get_action_matches_the_tie_list_rule(row, epsilon, seed, known):
     q = QTable(ACTIONS)
     if known:
-        q._rows["s"] = row
+        q["s"] = row
     fast, reference = random.Random(seed), random.Random(seed)
     for _ in range(3):
         assert (get_action(q, "s", epsilon, ACTIONS, fast)
@@ -120,23 +120,22 @@ def test_get_action_matches_the_tie_list_rule(row, epsilon, seed, known):
 def test_update_full_overwrite_no_bootstrap():
     q = QTable(ACTIONS)
     update_q_values(q, "s", "up", 5.0, "t", 1.0, 0.0)
-    assert q.value("s", "up") == 5.0
+    assert q["s"][0] == 5.0
 
 
 def test_update_direct_substitution():
     q = QTable(ACTIONS)
     update_q_values(q, "t", "up", 0.0, "u", 1.0, 0.0)
-    q._rows["t"][0] = 2.0  # maxNext = 2
+    q["t"][0] = 2.0  # maxNext = 2
     update_q_values(q, "s", "up", 1.0, "t", 0.5, 0.9)
-    assert q.value("s", "up") == pytest.approx(0.5 * (1.0 + 0.9 * 2.0))
+    assert q["s"][0] == pytest.approx(0.5 * (1.0 + 0.9 * 2.0))
 
 
 def test_update_unseen_state_behaves_as_zero():
     q = QTable(ACTIONS)
     update_q_values(q, "new", "down", 3.0, "unseen", 0.5, 0.99)
-    assert q.value("new", "down") == pytest.approx(0.5 * 3.0)
-    assert q.value("unseen", "down") == 0.0
-    assert "unseen" not in set(q.states())
+    assert q["new"][1] == pytest.approx(0.5 * 3.0)
+    assert "unseen" not in q
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +173,7 @@ def test_replay_matches_online_updates(beverage_model):
 
     replayed = QTable(env.actions)
     replay(replayed, beverage_model, [episode], 0.1, 0.99)
-    assert replayed._rows == online._rows
+    assert replayed == online
 
 
 def test_replay_is_deterministic(beverage_model):
@@ -184,20 +183,20 @@ def test_replay_is_deterministic(beverage_model):
     q2 = QTable(env.actions)
     replay(q1, beverage_model, history, 0.1, 0.99)
     replay(q2, beverage_model, history, 0.1, 0.99)
-    assert q1._rows == q2._rows
+    assert q1 == q2
 
 
 def test_run_episode_learning_matches_replay(beverage_model):
     """The runner's online updates equal a replay of the traces it returns."""
     env = make_environment("hot_beverage", seed=79)
-    agent = PoqlAgent(beverage_model, QTable(env.actions), AgentConfig())
+    agent = TabularAgent(QTable(env.actions), AgentConfig(), beverage_model)
     rng = random.Random(4)
     history = [RewardObservationTrace(*run_episode(env, agent, rng, 0.5, (0.1, 0.99)))
                for _ in range(10)]
     replayed = QTable(env.actions)
     replay(replayed, beverage_model, history, 0.1, 0.99)
     assert len(agent.q) > 1
-    assert agent.q._rows == replayed._rows
+    assert agent.q == replayed
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +263,7 @@ def test_train_freeze_keeps_collecting_history():
 def test_train_q_keys_stay_inside_extended_space(trained_beverage):
     agent, _ = trained_beverage
     states = set(agent.model.states)
-    for key in agent.q.states():
+    for key in agent.q:
         assert isinstance(key, ExtendedState)
         assert key.state in states
 
@@ -275,8 +274,7 @@ def test_unreachable_extended_pairs_stay_zero(trained_beverage):
     agent, _ = trained_beverage
     tea_states = [s for s in agent.model.states if agent.model.label[s] == "tea"]
     ghost = ExtendedState("init", tea_states[0], True)
-    assert ghost not in set(agent.q.states())
-    assert all(agent.q.value(ghost, a) == 0.0 for a in agent.actions)
+    assert ghost not in agent.q
 
 
 def test_config_validation():
@@ -518,7 +516,7 @@ def test_run_episode_matches_the_protocol_loop(
         else:
             agent = copy.copy(poql_agent if kind == "poql" else baseline)
             agent.q = copy.deepcopy(agent.q)
-            rows = agent.q._rows
+            rows = agent.q
         env.reseed(seed)
         rng = random.Random(seed)
         episodes = []
@@ -569,7 +567,7 @@ def test_baseline_officeworld_rows_have_no_dominant_action():
     config = _quick_config(max_episodes=2000, eval_every=2000, target_goal_rate=2.0,
                            epsilon_decay_episodes=1000)
     agent = baseline_obs_q(env, config, seed=23)
-    row = agent.q.row("Room1")
+    row = agent.q.get("Room1")
     assert row is not None
     spread = max(row) - min(row)
     scale = max(1.0, max(abs(v) for v in row))

@@ -45,7 +45,7 @@ def test_qtable_rows_roundtrip_exact_floats():
     rows = qtable_rows(q)
     assert all(len(r.split(",")) == 5 for r in rows)
     back = qtable_from_rows(rows, ("coin", "button"))
-    assert back._rows == q._rows
+    assert back == q
 
 
 _names = st.text(alphabet=string.ascii_letters + string.digits + "_-.", min_size=1, max_size=4)
@@ -67,7 +67,7 @@ def _qtables(draw):
     rows = draw(st.dictionaries(keys, st.lists(_values, min_size=len(actions),
                                                max_size=len(actions)), max_size=6))
     q = QTable(actions)
-    q._rows.update(rows)
+    q.update(rows)
     return q
 
 
@@ -75,8 +75,8 @@ def _qtables(draw):
 def test_qtable_rows_roundtrip_property(q):
     rows = qtable_rows(q)
     back = qtable_from_rows(rows, q.actions)
-    assert {k: list(map(repr, v)) for k, v in back._rows.items()} == {
-        k: list(map(repr, v)) for k, v in q._rows.items()}
+    assert {k: list(map(repr, v)) for k, v in back.items()} == {
+        k: list(map(repr, v)) for k, v in q.items()}
     assert qtable_rows(back) == rows
 
 
@@ -84,7 +84,7 @@ def test_qtable_from_rows_skips_comments_and_numbers_bad_rows():
     rows = ["# config_hash=0", "", "rawobs,-,-,coin,3.0", "rawobs,-,-,tea,1.0"]
     with pytest.raises(ValueError, match=r"^4: malformed Q-table row 'rawobs,-,-,tea,1.0'$"):
         qtable_from_rows(rows, ("coin", "button"))
-    assert qtable_from_rows(rows[:3], ("coin", "button"))._rows == {"rawobs": [3.0, 0.0]}
+    assert qtable_from_rows(rows[:3], ("coin", "button")) == {"rawobs": [3.0, 0.0]}
 
 
 def test_config_hash_ignores_output_dir_only():

@@ -87,6 +87,17 @@ def test_train_rejects_grid_with_non_ascii_room_digit(tmp_path, capsys):
     assert not (tmp_path / "nope").exists()
 
 
+@pytest.mark.parametrize("layout", [5, ["S.G"], None, {"S": "G"}],
+                         ids=["int", "list", "null", "object"])
+def test_train_rejects_grid_layout_that_is_not_a_string(tmp_path, capsys, layout):
+    cfg = _config(tmp_path / "nope")
+    cfg["environment"] = {"name": "grid", "layout": layout}
+    path = _write_config(tmp_path, "grid.json", cfg)
+    assert _error_line(["train", str(path)], capsys) == (
+        f"invalid environment: grid layout must be a string, got {layout!r}")
+    assert not (tmp_path / "nope").exists()
+
+
 @pytest.mark.parametrize("max_steps", ["100", 0, -3, True, 1.5])
 def test_train_rejects_max_steps_below_one_or_not_an_integer(tmp_path, capsys, max_steps):
     cfg = _config(tmp_path / "nope")
@@ -454,22 +465,6 @@ def test_eval_reports_config_without_agent(beverage_run, tmp_path, capsys):
     assert _eval_error(ckpt, capsys) == f"{ckpt / 'config.json'}: missing key 'agent'"
 
 
-def test_eval_reports_config_with_non_list_actions(beverage_run, tmp_path, capsys):
-    ckpt = _checkpoint_copy(beverage_run, tmp_path)
-    config = json.loads((ckpt / "config.json").read_text())
-    config["actions"] = 5
-    (ckpt / "config.json").write_text(json.dumps(config))
-    assert _eval_error(ckpt, capsys).startswith(f"{ckpt / 'config.json'}: ")
-
-
-def test_eval_reports_config_with_non_symbol_actions(beverage_run, tmp_path, capsys):
-    ckpt = _checkpoint_copy(beverage_run, tmp_path)
-    config = json.loads((ckpt / "config.json").read_text())
-    config["actions"][0] = ["coin"]
-    (ckpt / "config.json").write_text(json.dumps(config))
-    assert _eval_error(ckpt, capsys).startswith(f"{ckpt / 'config.json'}: invalid symbol ")
-
-
 def test_eval_reports_config_without_environment(beverage_run, tmp_path, capsys):
     ckpt = _checkpoint_copy(beverage_run, tmp_path)
     config = json.loads((ckpt / "config.json").read_text())
@@ -479,34 +474,25 @@ def test_eval_reports_config_without_environment(beverage_run, tmp_path, capsys)
         f"{ckpt / 'config.json'}: invalid environment: ")
 
 
-def _delete_actions(config):
-    del config["actions"]
-
-
-def _reorder_actions(config):
-    config["actions"].reverse()
-
-
-def _add_action(config):
-    config["actions"].append("kick")
-
-
-@pytest.mark.parametrize("edit", [_delete_actions, _reorder_actions, _add_action],
-                         ids=["deleted", "reordered", "extra"])
-def test_eval_rejects_actions_other_than_the_environments(beverage_run, tmp_path, capsys,
-                                                          edit):
-    """`actions` lies outside config_hash, so eval compares it with the
-    environment's own actions and refuses a checkpoint without it."""
+@pytest.mark.parametrize("actions", [
+    pytest.param(["coin", "button"], id="environment-order"),
+    pytest.param(["button", "coin"], id="reordered"),
+    pytest.param(["coin", "button", "kick"], id="extra"),
+    pytest.param(5, id="not-a-list"),
+    pytest.param([["coin"], "button"], id="not-symbols"),
+])
+def test_eval_refuses_config_json_with_an_actions_key(beverage_run, tmp_path, capsys,
+                                                      actions):
+    """The actions come from the environment that config.json names; an
+    `actions` key, edited in or written by an older poql, is a field that
+    config_hash does not cover."""
     ckpt = _checkpoint_copy(beverage_run, tmp_path)
     config = json.loads((ckpt / "config.json").read_text())
-    edit(config)
+    digest = config["config_hash"]
+    config["actions"] = actions
     (ckpt / "config.json").write_text(json.dumps(config))
-    if edit is _delete_actions:
-        expected = f"{ckpt / 'config.json'}: missing key 'actions'"
-    else:
-        expected = (f"{ckpt / 'config.json'}: actions {config['actions']} are not "
-                    f"the environment's ['coin', 'button']")
-    assert _eval_error(ckpt, capsys) == expected
+    assert _eval_error(ckpt, capsys).startswith(
+        f"{ckpt / 'config.json'}: config_hash {digest}, but its fields hash to ")
 
 
 def _edit_environment(config):
@@ -610,6 +596,69 @@ def test_sweep_runs_matching_configs(tmp_path):
 
 def test_sweep_without_matches_fails(tmp_path, capsys):
     assert main(["sweep", str(tmp_path / "missing*.json")]) == 2
+
+
+# A poql run small enough to retrain several times in one test.
+SMALL_RUN = dict(max_episodes=60, bootstrap_episodes=10, update_interval=30,
+                 eval_every=30, eval_episodes=5)
+
+
+def _train_small(tmp_path, out, agent, *flags, env_name="hot_beverage"):
+    path = _write_config(tmp_path, f"{agent}.json",
+                         _config(out, agent=agent, env_name=env_name, **SMALL_RUN))
+    return main(["train", str(path), "--quiet", *flags])
+
+
+def test_train_force_removes_artifacts_the_new_agent_does_not_write(tmp_path, capsys):
+    """A poql run directory retrained as obs_baseline loses its model, and
+    retrained as random its checkpoint, so neither is served stale."""
+    out = tmp_path / "run"
+    assert _train_small(tmp_path, out, "poql") == 0
+    assert _train_small(tmp_path, out, "obs_baseline", "--force") == 0
+    assert not (out / "model.json").exists() and not (out / "model.dot").exists()
+    capsys.readouterr()
+    assert _error_line(["export-dot", str(out)], capsys) == (
+        f"{out / 'model.json'}: No such file or directory")
+    assert main(["eval", str(out), "--episodes", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["agent"] == "obs_baseline"
+
+    assert _train_small(tmp_path, out, "random", "--force") == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in out.iterdir()) == ["run.json", "run_record.csv"]
+    assert _error_line(["eval", str(out)], capsys) == (
+        f"{out / 'config.json'}: No such file or directory")
+    assert _error_line(["export-dot", str(out)], capsys) == (
+        f"{out / 'model.json'}: No such file or directory")
+
+
+def test_train_force_reports_a_failed_removal(tmp_path, monkeypatch, capsys):
+    from pathlib import Path
+
+    out = tmp_path / "run"
+    assert _train_small(tmp_path, out, "poql") == 0
+
+    def refuse(self, missing_ok=False):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(Path, "unlink", refuse)
+    capsys.readouterr()
+    assert _train_small(tmp_path, out, "random", "--force") == 2
+    assert capsys.readouterr().err == f"error: {out / 'config.json'}: Permission denied\n"
+    assert json.loads((out / "run.json").read_text())["status"] == "incomplete"
+
+
+@pytest.mark.parametrize("agent", ["poql", "obs_baseline"])
+def test_load_checkpoint_takes_the_environments_actions(tmp_path, agent):
+    """config.json stores no actions; the loaded agent acts with those of the
+    environment it names, here gravity's unsorted up, down, left, right."""
+    out = tmp_path / "run"
+    assert _train_small(tmp_path, out, agent, env_name="gravity") == 0
+    assert "actions" not in json.loads((out / "config.json").read_text())
+    loaded, _ = load_checkpoint(out)
+    env = make_environment("gravity")
+    assert env.actions == ("up", "down", "left", "right")
+    assert loaded.actions == loaded.q.actions == env.actions
+    assert (loaded.model is None) == (agent == "obs_baseline")
 
 
 def test_interrupted_run_leaves_incomplete_flag(tmp_path, monkeypatch):

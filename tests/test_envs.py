@@ -40,6 +40,16 @@ def test_unknown_name_rejected():
         make_environment("labyrinth", seed=0)
 
 
+@pytest.mark.parametrize("params", [{"width": 0}, {"height": 1}, {"width": 3, "height": 0}],
+                         ids=["width", "height", "both"])
+def test_gravity_takes_no_size_parameters(params):
+    """Gravity's geometry is fixed; a width or height key is refused rather
+    than building a world that starts on the goal or loses its toggle."""
+    with pytest.raises(ValueError) as info:
+        make_environment("gravity", seed=0, **params)
+    assert str(info.value) == f"unused environment parameters: {sorted(params)}"
+
+
 def test_reset_observations():
     assert make_environment("hot_beverage", seed=0).reset()[0] == "init"
     assert make_environment("officeworld", seed=0).reset()[0] == "Room1"

@@ -745,4 +745,4 @@ def test_replay_matches_a_replay_that_builds_every_key(case, alpha, gamma):
     fast, reference = QTable(actions), QTable(actions)
     replay(fast, model, history, alpha, gamma)
     _reference_replay(reference, model, history, alpha, gamma)
-    assert list(fast._rows.items()) == list(reference._rows.items())
+    assert list(fast.items()) == list(reference.items())
