@@ -6,7 +6,6 @@ from .agent import (
     EvalStats,
     QTable,
     RandomAgent,
-    RepeatActionAgent,
     TabularAgent,
     baseline_obs_q,
     evaluate,

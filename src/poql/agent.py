@@ -194,7 +194,6 @@ class TabularAgent:
         self.history: list[RewardObservationTrace] = []
         self.eval_rows: list[dict] = []
         self.relearn_episodes: list[int] = []
-        self.episodes_trained = 0
         self.stop_episode: int | None = None
 
     def relearn(self, episode: int, log: Callable[[str], None] | None) -> None:
@@ -225,17 +224,6 @@ class RandomAgent:
 
     def choose(self, obs: str, rng: random.Random) -> str:
         return self.actions[rng.randrange(len(self.actions))]
-
-
-class RepeatActionAgent:
-    """Always performs the same action."""
-
-    def __init__(self, action: str, gamma: float = 0.99):
-        self.action = action
-        self.gamma = gamma
-
-    def choose(self, obs: str, rng: random.Random) -> str:
-        return self.action
 
 
 def run_episode(
@@ -367,7 +355,6 @@ def _train_loop(
     for episode in range(config.max_episodes):
         trace = run_episode(env, agent, rng, config.epsilon_at(episode), learn)
         agent.history.append(RewardObservationTrace(*trace))
-        agent.episodes_trained = episode + 1
         agent.relearn(episode, log)
 
         if (episode + 1) % config.eval_every == 0 or episode + 1 == config.max_episodes:
@@ -382,8 +369,8 @@ def _train_loop(
             if _stop_reached(stats, config):
                 agent.stop_episode = episode + 1
                 break
-    if agent.stop_episode is None:
-        agent.stop_episode = agent.episodes_trained
+    else:
+        agent.stop_episode = config.max_episodes
     return agent
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import json
 from contextlib import contextmanager
-from fractions import Fraction
 from pathlib import Path
 
 from .agent import AgentConfig, QTable, TabularAgent
@@ -25,6 +24,7 @@ from .models import (
     DeterministicLabeledMdp,
     ExtendedState,
     atomic_open,
+    check_symbol,
     dlmdp_to_dot,
     read_trace_file,
     write_trace_file,
@@ -66,25 +66,37 @@ def model_to_dict(model: DeterministicLabeledMdp) -> dict:
     }
 
 
+def _integer(value, what: str, least: int | None = None) -> int:
+    """`value` if it is an integer, not a bool, of at least `least`."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or least is not None and value < least):
+        floor = "" if least is None else f" of at least {least}"
+        raise ValueError(f"{what} must be an integer{floor}, got {value!r}")
+    return value
+
+
 def model_from_dict(data: dict) -> DeterministicLabeledMdp:
-    states = tuple(entry["id"] for entry in data["states"])
-    if not states:
+    """The model that a `model.json` encodes. A value that no learned model
+    has raises ValueError: a state id that is not an integer or not unique,
+    a label or action that is not a symbol, a `count` below 1, or a `total`
+    other than the sum of the counts of its (state, action) row."""
+    label = {_integer(e["id"], "state id"): check_symbol(e["label"]) for e in data["states"]}
+    if len(label) != len(data["states"]):
+        raise ValueError("state ids must be distinct")
+    if not label:
         raise ValueError("model has no states")
-    label = {entry["id"]: entry["label"] for entry in data["states"]}
-    trans: dict[tuple[int, str], dict[int, Fraction]] = {}
     counts: dict[tuple[int, str], dict[int, int]] = {}
     for entry in data["transitions"]:
-        key = (entry["src"], entry["action"])
-        counts.setdefault(key, {})[entry["dst"]] = entry["count"]
-        trans.setdefault(key, {})[entry["dst"]] = Fraction(entry["count"], entry["total"])
-    return DeterministicLabeledMdp(
-        states=states,
-        initial=data["initial"],
-        actions=tuple(data["actions"]),
-        label=label,
-        trans=trans,
-        counts=counts,
-    )
+        row = counts.setdefault((_integer(entry["src"], "state id"), entry["action"]), {})
+        row[_integer(entry["dst"], "state id")] = _integer(entry["count"], "count", 1)
+    for entry in data["transitions"]:
+        total = sum(counts[entry["src"], entry["action"]].values())
+        if entry["total"] != total:
+            raise ValueError(f"transition ({entry['src']}, {entry['action']!r}): total "
+                             f"{entry['total']!r}, but its counts sum to {total}")
+    actions = tuple(map(check_symbol, data["actions"]))
+    return DeterministicLabeledMdp.from_counts(
+        _integer(data["initial"], "state id"), actions, label, counts)
 
 
 def qtable_rows(q: QTable) -> list[str]:
@@ -136,7 +148,7 @@ def _loading(path: Path):
         raise ConfigError(f"{path}: missing key {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, RecursionError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -220,16 +232,17 @@ def _check_hash(path: Path, found, digest) -> None:
                           f"but config.json has {digest}")
 
 
-def load_checkpoint(path):
-    """Reload (agent, exp_config) from a checkpoint directory.
+def load_checkpoint(path) -> tuple[TabularAgent, Environment]:
+    """Reload (agent, environment) from a checkpoint directory.
 
     Every failure to load raises ConfigError whose message starts with the
     offending file, and with its line for `qtable.txt` and `traces.txt`. The
     config hash of `qtable.txt` and `model.json` must be the one in
     `config.json`, and so must the hash of `config.json`'s own fields, so an
-    edited field never pairs the agent with another experiment. The agent's
-    actions are those of the environment that `config.json` names; an
-    environment that does not build is reported as invalid.
+    edited field never pairs the agent with another experiment. The
+    environment is the one `config.json` names, built at seed 0 (`evaluate`
+    reseeds it); one that does not build is reported as invalid. The agent's
+    actions are the environment's, and its model may use no others.
     """
     out = Path(path)
     config_path = out / "config.json"
@@ -260,6 +273,9 @@ def load_checkpoint(path):
     if fields_digest != digest:
         raise ConfigError(f"{config_path}: config_hash {digest}, "
                           f"but its fields hash to {fields_digest}")
+    if model is not None and not set(model.actions) <= set(env.actions):
+        raise ConfigError(f"{model_path}: actions {list(model.actions)} are not "
+                          f"all among the environment's {list(env.actions)}")
     try:
         q = qtable_from_rows(qtable_lines, env.actions)
     except ValueError as exc:
@@ -273,4 +289,4 @@ def load_checkpoint(path):
             raise ConfigError(f"{traces_path}: {exc.strerror or exc}") from exc
         except ValueError as exc:  # already `<path>:<line>: ...`
             raise ConfigError(str(exc)) from exc
-    return agent, exp_config
+    return agent, env

@@ -26,6 +26,7 @@ from .agent import AgentConfig, RandomAgent, _eval_row, baseline_obs_q, evaluate
 from .checkpoint import (ConfigError, _writing, build_environment, config_hash,
                          load_checkpoint, load_model, read_json_object,
                          save_checkpoint, write_text_atomic)
+from .envs import Environment
 from .models import atomic_open, dlmdp_to_dot
 
 SCHEMA_VERSION = 1
@@ -49,11 +50,10 @@ UNWRITTEN_FILES = {
 }
 
 
-def load_experiment_config(path) -> dict:
-    return validate_experiment_config(read_json_object(path))
-
-
-def validate_experiment_config(raw: dict) -> dict:
+def load_experiment_config(path) -> tuple[dict, Environment]:
+    """The experiment config in `path`, its keys checked, and the environment
+    it names, built at its seed. `agent_config` is left to `AgentConfig`."""
+    raw = read_json_object(path)
     if raw.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(
             f"schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}"
@@ -66,17 +66,11 @@ def validate_experiment_config(raw: dict) -> dict:
         raise ConfigError(f"output_dir must be a string, got {raw['output_dir']!r}")
     if raw["agent"] not in AGENT_KINDS:
         raise ConfigError(f"agent must be one of {AGENT_KINDS}, got {raw['agent']!r}")
-    env = raw["environment"]
-    if not isinstance(env, dict) or "name" not in env:
+    if not isinstance(raw["environment"], dict) or "name" not in raw["environment"]:
         raise ConfigError("environment must be an object with a 'name'")
-    build_environment(raw, seed=0)
     if not isinstance(raw["seed"], int) or isinstance(raw["seed"], bool):
         raise ConfigError("seed must be an explicit integer")
-    try:
-        AgentConfig(**raw.get("agent_config", {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid agent_config: {exc}") from exc
-    return raw
+    return raw, build_environment(raw, seed=raw["seed"])
 
 
 def resolve_output_dir(config: dict) -> Path:
@@ -102,16 +96,17 @@ def _write_run_record(path: Path, rows: list[dict], digest: str) -> None:
 
 
 def cmd_train(args) -> int:
-    config = load_experiment_config(args.config)
+    config, env = load_experiment_config(args.config)
+    try:
+        agent_config = AgentConfig(**config.get("agent_config", {}))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid agent_config: {exc}") from exc
     out = resolve_output_dir(config)
     if (out / "run.json").exists() and not args.force:
         raise ConfigError(f"{out} already holds a run (use --force)")
     with _writing(out):
         out.mkdir(parents=True, exist_ok=True)
     digest = config_hash(config)
-
-    env = build_environment(config, seed=config["seed"])
-    agent_config = AgentConfig(**config.get("agent_config", {}))
     run_meta = {
         "status": "incomplete",
         "environment": config["environment"]["name"],
@@ -159,12 +154,11 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     if args.episodes < 1:
         raise ConfigError(f"--episodes must be at least 1, got {args.episodes}")
-    agent, config = load_checkpoint(args.checkpoint)
-    env = build_environment(config, seed=args.seed)  # load_checkpoint has built it
+    agent, env = load_checkpoint(args.checkpoint)
     stats = evaluate(agent, env, args.episodes, args.seed)
     print(json.dumps({
         "environment": env.name,
-        "agent": config["agent"],
+        "agent": "obs_baseline" if agent.model is None else "poql",
         "episodes": args.episodes,
         "goal_rate": stats.goal_rate,
         "mean_steps": stats.mean_steps,

@@ -46,8 +46,6 @@ class GridSpec:
     and leaves the position unchanged.
     """
 
-    width: int
-    height: int
     cells: frozenset[Cell]
     blocked: frozenset[tuple[Cell, Cell]]
     room_of: Mapping[Cell, str]
@@ -120,8 +118,6 @@ class GridSpec:
         if len(starts) != 1 or len(goals) != 1:
             raise ValueError("grid needs exactly one S and one G")
         return cls(
-            width=width,
-            height=len(rows),
             cells=frozenset(cells),
             blocked=frozenset(),
             room_of=room_of,
@@ -295,8 +291,6 @@ def _office_spec(aliased: bool) -> GridSpec:
         for (x, y) in cells
     }
     return GridSpec(
-        width=6,
-        height=6,
         cells=cells,
         blocked=frozenset(tuple(sorted(p)) for p in blocked),
         room_of=room_of,
@@ -391,8 +385,6 @@ def _thinmaze_spec() -> GridSpec:
             if x != open_x:
                 blocked.add(((x, y), (x, y + 1)))
     return GridSpec(
-        width=6,
-        height=4,
         cells=cells,
         blocked=frozenset(tuple(sorted(p)) for p in blocked),
         room_of={c: ("cookie" if c == (3, 3) else "corridor") for c in cells},
@@ -462,7 +454,6 @@ class Environment:
         self.name = name
         self.max_steps = max_steps
         self.actions = pomdp.mdp.actions
-        self.observations = pomdp.observations
         self._table = _state_table(pomdp)
         self._rng = random.Random(seed)
         self._state: int | None = None

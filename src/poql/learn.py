@@ -29,7 +29,6 @@ the returned models are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import log, sqrt
 from types import MappingProxyType
 from typing import Iterable, Sequence
@@ -115,7 +114,6 @@ class Iofpta:
     """Frequency prefix tree acceptor over a multiset of observation traces."""
 
     root: IofptaNode
-    num_traces: int
 
 
 @dataclass(frozen=True)
@@ -140,7 +138,7 @@ def build_iofpta(traces: Iterable[ObsTrace]) -> Iofpta:
                 f"initial observations differ: {initial!r} vs {init_obs!r}"
             )
         _add_path(root, steps, 0)
-    return Iofpta(root, len(traces))
+    return Iofpta(root)
 
 
 def _bound_scale(eps_al: float) -> float:
@@ -344,8 +342,6 @@ def run_ioalergia(
             # Folding can graft new blue nodes onto earlier promoted states,
             # so rescan this state and let the outer loop settle globally.
 
-    states = tuple(range(len(red)))
-    label = {node.red_index: node.label for node in red}
     counts: dict[tuple[int, str], dict[int, int]] = {}
     for node in red:
         for key, count in node.freq.items():
@@ -353,18 +349,9 @@ def run_ioalergia(
             succ = node.children[key].red_index
             entry = counts.setdefault((node.red_index, action), {})
             entry[succ] = entry.get(succ, 0) + count
-    trans = {
-        key: {succ: Fraction(c, sum(entry.values())) for succ, c in entry.items()}
-        for key, entry in counts.items()
-    }
-    return DeterministicLabeledMdp(
-        states=states,
-        initial=0,
-        actions=tuple(sorted({action for (_, action) in counts})),
-        label=label,
-        trans=trans,
-        counts=counts,
-    )
+    return DeterministicLabeledMdp.from_counts(
+        0, sorted({action for (_, action) in counts}),
+        {node.red_index: node.label for node in red}, counts)
 
 
 def _first_blue_key(node: IofptaNode) -> tuple[str, str] | None:
@@ -391,10 +378,10 @@ class _PairMemo(dict):
 
 
 def observation_traces(episodes: Iterable[RewardObservationTrace]) -> list[ObsTrace]:
-    """The `observation_part` of each episode, with one shared tuple for all
-    equal (action, observation) pairs, which speeds up the learner's key
-    lookups. Each step costs one dict lookup; only a step unequal to all
-    before it builds a pair."""
+    """Each episode without its rewards, as (initial observation, (action,
+    observation) steps), with one shared tuple for all equal pairs, which
+    speeds up the learner's key lookups. Each step costs one dict lookup;
+    only a step unequal to all before it builds a pair."""
     pairs = _PairMemo().__getitem__
     return [(t.initial_obs, tuple(map(pairs, t.steps))) for t in episodes]
 

@@ -182,6 +182,15 @@ class DeterministicLabeledMdp:
                     label = self.label[succ]
                     self._successors[(s, a, label)] = ExtendedState(label, succ, True)
 
+    @classmethod
+    def from_counts(cls, initial: int, actions: Iterable[str], label: Mapping[int, str],
+                    counts: Mapping[tuple[int, str], Mapping[int, int]]):
+        """The learned model over the states of `label`, in its order: each
+        transition's probability is its edge count over its row's total."""
+        trans = {key: {succ: Fraction(c, sum(row.values())) for succ, c in row.items()}
+                 for key, row in counts.items()}
+        return cls(tuple(label), initial, tuple(actions), label, trans, counts)
+
     def successors(self, state: int, action: str) -> Mapping[int, Prob]:
         return self.trans.get((state, action), {})
 
@@ -239,13 +248,6 @@ class RewardObservationTrace:
     def __post_init__(self) -> None:
         if not self.initial_obs:
             raise ValueError("initial observation must be nonempty")
-
-    def observation_part(self) -> ObsTrace:
-        """Drop the rewards, keeping the (action, observation) skeleton."""
-        return (self.initial_obs, tuple((a, o) for a, _, o in self.steps))
-
-    def rewards(self) -> list[float]:
-        return [self.initial_reward] + [r for _, r, _ in self.steps]
 
 
 #: An observation trace: initial observation plus (action, observation) steps.
@@ -380,15 +382,11 @@ def read_trace_file(path) -> list[RewardObservationTrace]:
     return traces
 
 
-def dlmdp_to_dot(
-    model: DeterministicLabeledMdp,
-    beliefs: Mapping[int, Mapping[int, Prob]] | None = None,
-    comment: str | None = None,
-) -> str:
+def dlmdp_to_dot(model: DeterministicLabeledMdp, comment: str | None = None) -> str:
     """Render a labeled model as a DOT digraph with a stable node/edge order.
 
     Node labels are `id|obs`; edge labels are `action:prob` with four decimal
-    digits. Belief annotations, when given, are attached as node tooltips.
+    digits.
     """
     if not model.states:
         raise ValueError("cannot export an empty model")
@@ -398,13 +396,7 @@ def dlmdp_to_dot(
     lines.append('  __start [shape=none, label=""];')
     lines.append(f"  __start -> s{model.initial};")
     for s in sorted(model.states):
-        attrs = [f'label="{s}|{model.label[s]}"']
-        if beliefs is not None and s in beliefs:
-            dist = ",".join(
-                f"{q}:{float(p):g}" for q, p in sorted(beliefs[s].items())
-            )
-            attrs.append(f'tooltip="{dist}"')
-        lines.append(f"  s{s} [{', '.join(attrs)}];")
+        lines.append(f'  s{s} [label="{s}|{model.label[s]}"];')
     edges = []
     for (s, a), dist in model.trans.items():
         for succ, p in dist.items():

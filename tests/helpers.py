@@ -6,10 +6,36 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from typing import Mapping, Sequence
+from types import SimpleNamespace
+from typing import Mapping, NamedTuple, Sequence
 
+from poql.agent import (AgentConfig, EvalStats, QTable, RandomAgent, get_action,
+                        round_steps, update_q_values)
+from poql.envs import Environment
 from poql.learn import Iofpta
-from poql.models import DeterministicLabeledMdp, ObsTrace, Pomdp, Prob
+from poql.models import (DeterministicLabeledMdp, ExtendedState, ObsTrace, Pomdp, Prob,
+                         RewardObservationTrace)
+
+
+class RepeatActionAgent:
+    """A fixed policy that always performs the same action."""
+
+    def __init__(self, action: str, gamma: float = 0.99):
+        self.action = action
+        self.gamma = gamma
+
+    def choose(self, obs: str, rng: random.Random) -> str:
+        return self.action
+
+
+def observation_part(trace: RewardObservationTrace) -> ObsTrace:
+    """Drop the rewards, keeping the (action, observation) skeleton."""
+    return (trace.initial_obs, tuple((a, o) for a, _, o in trace.steps))
+
+
+def rewards(trace: RewardObservationTrace) -> list[float]:
+    """The initial reward, then the reward of each step."""
+    return [trace.initial_reward] + [r for _, r, _ in trace.steps]
 
 
 def discounted_return(trace_rewards: Sequence[float], t: int, gamma: float) -> float:
@@ -239,3 +265,146 @@ def reference_ioalergia(traces: Sequence[ObsTrace], eps_al: float) -> dict:
         "states": [{"id": node.red, "label": node.label} for node in red],
         "transitions": transitions,
     }
+
+
+# ---------------------------------------------------------------------------
+# A whole training run written out plainly
+# ---------------------------------------------------------------------------
+
+class PlainModel(NamedTuple):
+    """A `model_to_dict` encoding as what `reference_step` reads: the
+    initial state, the state labels, and the edge counts per (state, action)."""
+
+    initial: int
+    label: dict[int, str]
+    trans: dict[tuple[int, str], dict[int, int]]
+
+
+def plain_model(data: dict) -> PlainModel:
+    trans: dict[tuple[int, str], dict[int, int]] = {}
+    for t in data["transitions"]:
+        trans.setdefault((t["src"], t["action"]), {})[t["dst"]] = t["count"]
+    return PlainModel(data["initial"], {s["id"]: s["label"] for s in data["states"]}, trans)
+
+
+def reference_step(key, action: str, obs: str, model) -> ExtendedState:
+    """`step_to` read off `model.trans` and `model.label` directly."""
+    _, state, defined = key
+    if defined:
+        for succ, p in model.trans.get((state, action), {}).items():
+            if p > 0 and model.label[succ] == obs:
+                return ExtendedState(obs, succ, True)
+    return ExtendedState(obs, state, False)
+
+
+def reference_replay(q: QTable, model, history, alpha: float, gamma: float) -> None:
+    """`replay` with a fresh key built at every step, starting from each
+    episode's own initial observation."""
+    for episode in history:
+        key = ExtendedState(episode.initial_obs, model.initial, True)
+        for action, reward, obs in episode.steps:
+            nxt = reference_step(key, action, obs, model)
+            update_q_values(q, key, action, reward, nxt, alpha, gamma)
+            key = nxt
+
+
+def reference_episode(env: Environment, agent, rng: random.Random, epsilon: float, learn):
+    """`run_episode` spelled out in one loop. A tabular agent picks by
+    `get_action` for a key that starts at its model's initial state and
+    moves by `reference_step` (the raw observation without a model); a fixed
+    policy's key is the latest observation, passed to its `choose`."""
+    obs, reward = env.reset()
+    model = getattr(agent, "model", None)
+    if model is None:
+        key = obs
+    else:
+        key = ExtendedState(model.label[model.initial], model.initial, True)
+    steps = []
+    done = False
+    while not done:
+        if hasattr(agent, "q"):
+            action = get_action(agent.q, key, epsilon, agent.actions, rng)
+        else:
+            action = agent.choose(key, rng)
+        new_obs, r, done = env.step(action)
+        nxt = new_obs if model is None else reference_step(key, action, new_obs, model)
+        if learn is not None:
+            update_q_values(agent.q, key, action, r, nxt, *learn)
+        steps.append((action, r, new_obs))
+        key = nxt
+    return obs, reward, tuple(steps)
+
+
+def reference_evaluate(agent, env: Environment, n_episodes: int, seed) -> EvalStats:
+    """`evaluate` spelled out: reference rollouts that keep every episode's
+    rewards list and score it with `discounted_return`."""
+    env.reseed(f"{seed}|env")
+    rng = random.Random(f"{seed}|ties")
+    success_steps, returns = [], []
+    for _ in range(n_episodes):
+        trace = RewardObservationTrace(*reference_episode(env, agent, rng, 0.0, None))
+        if env.goal_reached:
+            success_steps.append(env.step_count)
+        returns.append(discounted_return(rewards(trace), 0, agent.gamma))
+    exact = sum(success_steps) / len(success_steps) if success_steps else None
+    return EvalStats(
+        goal_rate=len(success_steps) / n_episodes,
+        mean_steps=round_steps(exact) if exact is not None else None,
+        mean_return=sum(returns) / n_episodes,
+        mean_steps_exact=exact,
+    )
+
+
+class ReferenceRun(NamedTuple):
+    q: QTable
+    model: dict
+    eval_rows: list[dict]
+    relearn_episodes: list[int]
+    stop_episode: int
+    history: list[RewardObservationTrace]
+
+
+def reference_train(env: Environment, config: AgentConfig, seed) -> ReferenceRun:
+    """`train` written out plainly from the reference parts above, with its
+    random streams: one `{seed}|agent` generator for the bootstrap and
+    training episodes, and `evaluate`'s own per evaluation.
+
+    The bootstrap episodes give the first model, learned by
+    `reference_ioalergia`, and are not backed up. Each training episode then
+    learns online; at every update_interval-th episode before the freeze
+    point the model is relearned from the whole history and the history is
+    replayed into an empty Q-table. Every eval_every episodes, and after the
+    last, a greedy evaluation may stop the run.
+    """
+    rng = random.Random(f"{seed}|agent")
+    explorer = RandomAgent(env.actions)
+    history = [RewardObservationTrace(*reference_episode(env, explorer, rng, 0.0, None))
+               for _ in range(config.bootstrap_episodes)]
+    model = reference_ioalergia([observation_part(t) for t in history], config.eps_al)
+    agent = SimpleNamespace(q=QTable(env.actions), actions=env.actions,
+                            model=plain_model(model), gamma=config.gamma)
+    eval_rows, relearns, stop = [], [], config.max_episodes
+    for episode in range(config.max_episodes):
+        learn = (config.alpha, config.gamma)
+        trace = reference_episode(env, agent, rng, config.epsilon_at(episode), learn)
+        history.append(RewardObservationTrace(*trace))
+        if (episode < config.resolved_freeze_after()
+                and episode % config.update_interval == 0):
+            model = reference_ioalergia([observation_part(t) for t in history], config.eps_al)
+            agent.model, agent.q = plain_model(model), QTable(env.actions)
+            reference_replay(agent.q, agent.model, history, config.alpha, config.gamma)
+            relearns.append(episode)
+        if (episode + 1) % config.eval_every and episode + 1 < config.max_episodes:
+            continue
+        stats = reference_evaluate(agent, env, config.eval_episodes,
+                                   f"{seed}|eval|{episode}")
+        eval_rows.append({"episode": episode + 1, "goal_rate": stats.goal_rate,
+                          "mean_steps": stats.mean_steps, "mean_return": stats.mean_return,
+                          "model_state_count": len(agent.model.label),
+                          "q_rows": len(agent.q)})
+        if stats.goal_rate >= config.target_goal_rate and (
+                config.oracle_steps is None or stats.mean_steps is not None
+                and stats.mean_steps <= round_steps(config.oracle_steps)):
+            stop = episode + 1
+            break
+    return ReferenceRun(agent.q, model, eval_rows, relearns, stop, history)

@@ -18,7 +18,6 @@ from poql.agent import (
     AgentConfig,
     ExtendedState,
     QTable,
-    RepeatActionAgent,
     baseline_obs_q,
     evaluate,
     replay,
@@ -36,7 +35,7 @@ from poql.models import (
     step_to,
 )
 
-from helpers import isomorphic, sample_pomdp_traces
+from helpers import RepeatActionAgent, isomorphic, sample_pomdp_traces
 
 SEED = 2024
 

@@ -9,30 +9,29 @@ from hypothesis import given, settings, strategies as st
 import poql.agent as agent_mod
 from poql.agent import (
     AgentConfig,
-    EvalStats,
     ExtendedState,
     QTable,
     RandomAgent,
-    RepeatActionAgent,
     TabularAgent,
     baseline_obs_q,
     evaluate,
     get_action,
     replay,
-    round_steps,
     run_episode,
     train,
     update_q_values,
 )
 from poql.beliefs import build_belief_mdp
-from poql.envs import Environment, make_environment
+from poql.checkpoint import model_to_dict, qtable_rows
+from poql.envs import ENVIRONMENT_NAMES, Environment, make_environment
 from poql.models import (
     RewardObservationTrace,
     reset_to_initial,
     step_to,
 )
 
-from helpers import discounted_return, fully_observable
+from helpers import (RepeatActionAgent, fully_observable, reference_episode,
+                     reference_evaluate, reference_train)
 
 ACTIONS = ("up", "down", "left", "right")
 
@@ -226,7 +225,7 @@ def test_train_relearn_schedule():
     agent = train(env, config, seed=5)
     assert agent.relearn_episodes == [0, 300, 600]
     assert max(agent.relearn_episodes) < 700
-    assert agent.episodes_trained == 1000
+    assert agent.stop_episode == 1000 and len(agent.history) == 50 + 1000
 
 
 def test_train_one_tracker_advance_per_step(monkeypatch):
@@ -258,6 +257,29 @@ def test_train_freeze_keeps_collecting_history():
     agent = train(env, config, seed=13)
     assert agent.relearn_episodes == []
     assert len(agent.history) == 110
+
+
+@settings(max_examples=8, deadline=None)
+@given(name=st.sampled_from([n for n in ENVIRONMENT_NAMES if n != "grid"]),
+       seed=st.integers(0, 2**16), bootstrap=st.integers(1, 60),
+       interval=st.integers(40, 160), freeze=st.one_of(st.none(), st.integers(0, 300)),
+       eps_al=st.sampled_from([0.05, 0.2, 0.3, 0.5, 1.0]))
+def test_train_matches_the_reference_trainer(name, seed, bootstrap, interval, freeze, eps_al):
+    """A whole run of `train` equals `reference_train`, which relearns with
+    `reference_ioalergia`, replays over `model.trans` and `label`, and plays
+    every episode through the reference loop: same Q-table, model, eval
+    rows, relearn episodes, stop episode and history."""
+    config = AgentConfig(max_episodes=300, bootstrap_episodes=bootstrap,
+                         update_interval=interval, freeze_after=freeze, eps_al=eps_al,
+                         eval_every=100, eval_episodes=10, epsilon_decay_episodes=150)
+    agent = train(make_environment(name, seed=seed), config, seed=seed)
+    ref = reference_train(make_environment(name, seed=seed), config, seed)
+    assert qtable_rows(agent.q) == qtable_rows(ref.q)
+    assert model_to_dict(agent.model) == ref.model
+    assert agent.eval_rows == ref.eval_rows
+    assert agent.relearn_episodes == ref.relearn_episodes
+    assert agent.stop_episode == ref.stop_episode
+    assert agent.history == ref.history
 
 
 def test_train_q_keys_stay_inside_extended_space(trained_beverage):
@@ -336,57 +358,13 @@ def test_evaluate_reports_rounded_steps(trained_beverage):
     assert stats.mean_steps == int(math.floor(stats.mean_steps_exact + 0.5))
 
 
-def _reference_episode(env, agent, rng, epsilon, learn):
-    """`run_episode` spelled out in one loop. A tabular agent picks by
-    `get_action` for a key that starts at `reset_to_initial` and moves by
-    `step_to` (the raw observation without a model); a fixed policy's key is
-    the latest observation, passed to its `choose`."""
-    obs, reward = env.reset()
-    model = getattr(agent, "model", None)
-    key = obs if model is None else reset_to_initial(model)
-    steps = []
-    done = False
-    while not done:
-        if hasattr(agent, "q"):
-            action = get_action(agent.q, key, epsilon, agent.actions, rng)
-        else:
-            action = agent.choose(key, rng)
-        new_obs, r, done = env.step(action)
-        nxt = new_obs if model is None else step_to(key, action, new_obs, model)
-        if learn is not None:
-            update_q_values(agent.q, key, action, r, nxt, *learn)
-        steps.append((action, r, new_obs))
-        key = nxt
-    return obs, reward, tuple(steps)
-
-
-def _reference_evaluate(agent, env, n_episodes, seed) -> EvalStats:
-    """`evaluate` spelled out: reference rollouts that keep every episode's
-    rewards list and score it with `discounted_return`."""
-    env.reseed(f"{seed}|env")
-    rng = random.Random(f"{seed}|ties")
-    success_steps, returns = [], []
-    for _ in range(n_episodes):
-        trace = RewardObservationTrace(*_reference_episode(env, agent, rng, 0.0, None))
-        if env.goal_reached:
-            success_steps.append(env.step_count)
-        returns.append(discounted_return(trace.rewards(), 0, agent.gamma))
-    exact = sum(success_steps) / len(success_steps) if success_steps else None
-    return EvalStats(
-        goal_rate=len(success_steps) / n_episodes,
-        mean_steps=round_steps(exact) if exact is not None else None,
-        mean_return=sum(returns) / n_episodes,
-        mean_steps_exact=exact,
-    )
-
-
 def test_evaluate_mean_return_matches_discounted_return(trained_beverage):
     """Recompute the evaluation from an identical rollout, for the poql
     agent, the baseline and a RandomAgent."""
     agent, env = trained_beverage
     baseline = baseline_obs_q(env, _quick_config(), seed=7)
     for policy in (agent, baseline, RandomAgent(env.actions)):
-        assert evaluate(policy, env, 20, seed=42) == _reference_evaluate(policy, env, 20, 42)
+        assert evaluate(policy, env, 20, seed=42) == reference_evaluate(policy, env, 20, 42)
 
 
 def test_evaluate_oracle_policy_matches_shortest_path():
@@ -490,7 +468,7 @@ def test_evaluate_matches_the_rewards_list_reference(
     else:
         agent = copy.copy(poql_agent if kind == "poql" else baseline)
         agent.gamma = gamma
-    assert evaluate(agent, env, n_episodes, seed) == _reference_evaluate(
+    assert evaluate(agent, env, n_episodes, seed) == reference_evaluate(
         agent, env, n_episodes, seed)
 
 
@@ -507,10 +485,10 @@ def test_run_episode_matches_the_protocol_loop(
     eval_agents, kind, env_name, epsilon, learn, n_episodes, seed
 ):
     """`run_episode` plays, learns and draws exactly as the reference loop
-    `_reference_episode` does, for tabular agents and a fixed policy."""
+    `reference_episode` does, for tabular agents and a fixed policy."""
     env, poql_agent, baseline = eval_agents[env_name]
     results = []
-    for play in (run_episode, _reference_episode):
+    for play in (run_episode, reference_episode):
         if kind == "random":
             agent, learn, rows = RandomAgent(env.actions), None, None
         else:

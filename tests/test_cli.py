@@ -221,8 +221,7 @@ def test_eval_on_reloaded_checkpoint_matches_in_process(beverage_run, capsys):
     assert main(["eval", str(outdir), "--episodes", "50", "--seed", "9"]) == 0
     printed = json.loads(capsys.readouterr().out.strip())
 
-    agent, config = load_checkpoint(outdir)
-    env = make_environment(config["environment"]["name"], seed=9)
+    agent, env = load_checkpoint(outdir)
     stats = evaluate(agent, env, 50, seed=9)
     assert printed["goal_rate"] == stats.goal_rate
     assert printed["mean_steps"] == stats.mean_steps
@@ -533,6 +532,118 @@ def test_load_checkpoint_rejects_config_fields_that_its_hash_does_not_cover(
         load_checkpoint(ckpt)
     assert str(info.value).startswith(
         f"{ckpt / 'config.json'}: config_hash {digest}, but its fields hash to ")
+
+
+def _zero_total(path):
+    model = json.loads(path.read_text())
+    model["transitions"][0]["total"] = 0
+    path.write_text(json.dumps(model))
+
+
+def _deeply_nested(path):
+    path.write_text("[" * 100_000)
+
+
+@pytest.mark.parametrize("command,name,corrupt,message", [
+    pytest.param("eval", "model.json", _zero_total, "transition (0, 'button'): total 0, "
+                 "but its counts sum to ", id="eval-zero-total"),
+    pytest.param("export-dot", "model.json", _zero_total, "transition (0, 'button'): "
+                 "total 0, but its counts sum to ", id="export-dot-zero-total"),
+    pytest.param("eval", "model.json", _deeply_nested, "maximum recursion depth exceeded",
+                 id="eval-nested"),
+    pytest.param("export-dot", "model.json", _deeply_nested,
+                 "maximum recursion depth exceeded", id="export-dot-nested"),
+    pytest.param("train", "config.json", _deeply_nested, "maximum recursion depth exceeded",
+                 id="train-nested"),
+    pytest.param("compare", "run.json", _deeply_nested, "maximum recursion depth exceeded",
+                 id="compare-nested"),
+])
+def test_corrupt_json_input_is_one_error_line(beverage_run, tmp_path, capsys, command, name,
+                                              corrupt, message):
+    """A row total of 0 and a JSON file nested past the recursion limit each
+    end the command with one `error: <path>: ...` line and exit 2."""
+    run = _checkpoint_copy(beverage_run, tmp_path)
+    corrupt(run / name)
+    argv = [command, str(run / name) if command == "train" else str(run)]
+    assert _error_line(argv, capsys).startswith(f"{run / name}: {message}")
+
+
+def _edit_state_id(model, old, new):
+    for state in model["states"]:
+        if state["id"] == old:
+            state["id"] = new
+    for entry in model["transitions"]:
+        for end in ("src", "dst"):
+            if entry[end] == old:
+                entry[end] = new
+
+
+def _first_of_a_two_edge_row(model):
+    """The first transition whose (src, action) row has another edge."""
+    rows = [(t["src"], t["action"]) for t in model["transitions"]]
+    return next(t for t, row in zip(model["transitions"], rows) if rows.count(row) > 1)
+
+
+def _double_count_and_total(model):
+    """Same probability, but the row's counts no longer sum to its total."""
+    entry = _first_of_a_two_edge_row(model)
+    entry.update(count=2 * entry["count"], total=2 * entry["total"])
+
+
+def _add_zero_count_edge(model):
+    entry = _first_of_a_two_edge_row(model)
+    model["transitions"].append(dict(entry, dst=entry["src"], count=0))
+
+
+@pytest.mark.parametrize("edit,message", [
+    pytest.param(lambda m: _edit_state_id(m, 1, "1"), "state id must be an integer, got '1'",
+                 id="string-id"),
+    pytest.param(lambda m: _edit_state_id(m, 1, True), "state id must be an integer, got True",
+                 id="bool-id"),
+    pytest.param(lambda m: m["states"].append(dict(m["states"][1], label="coffee")),
+                 "state ids must be distinct", id="duplicate-id"),
+    pytest.param(lambda m: m["states"][1].update(label=5),
+                 "invalid symbol 5: need a non-whitespace token without ';:,|'", id="label"),
+    pytest.param(_add_zero_count_edge, "count must be an integer of at least 1, got 0",
+                 id="count-0"),
+    pytest.param(lambda m: m["transitions"][0].update(count=2.5),
+                 "count must be an integer of at least 1, got 2.5", id="count-float"),
+    pytest.param(_double_count_and_total, "transition (1, 'button'): total ", id="total"),
+    pytest.param(lambda m: m["actions"].append('say "hi"'),
+                 """invalid symbol 'say "hi"': need a non-whitespace token""",
+                 id="action-symbol"),
+    pytest.param(lambda m: m["actions"].append("kick"),
+                 "actions ['button', 'coin', 'kick'] are not all among the environment's "
+                 "['coin', 'button']", id="action"),
+])
+def test_eval_refuses_model_values_that_no_model_has(beverage_run, tmp_path, capsys, edit,
+                                                     message):
+    ckpt = _checkpoint_copy(beverage_run, tmp_path)
+    path = ckpt / "model.json"
+    model = json.loads(path.read_text())
+    edit(model)
+    path.write_text(json.dumps(model))
+    assert _eval_error(ckpt, capsys).startswith(f"{path}: {message}")
+
+
+def test_train_and_eval_build_one_environment_each(tmp_path, monkeypatch):
+    """Each command builds its environment once and hands it on."""
+    import sys
+
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(kwargs)
+        return make_environment(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "poql" and hasattr(module, "make_environment"):
+            monkeypatch.setattr(module, "make_environment", counting)
+    path = _write_config(tmp_path, "one.json", _config(tmp_path / "run", **SMALL_RUN))
+    assert main(["train", str(path), "--quiet"]) == 0
+    assert len(built) == 1
+    assert main(["eval", str(tmp_path / "run"), "--episodes", "5"]) == 0
+    assert len(built) == 2
 
 
 def test_eval_reports_malformed_trace_line(beverage_run, tmp_path, capsys):

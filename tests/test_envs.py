@@ -31,7 +31,7 @@ def test_all_names_construct():
     for name in ("hot_beverage", "officeworld", "confusing_officeworld", "gravity", "thinmaze"):
         env = make_environment(name, seed=0)
         obs, reward = env.reset()
-        assert obs in env.observations
+        assert obs in env.pomdp.observations
         assert name in ENVIRONMENT_NAMES
 
 
@@ -327,7 +327,8 @@ def test_step_draws_the_successors_of_a_bisect_walk_over_delta(name, params):
 
 def test_grid_text_parses_layout():
     spec = GridSpec.from_text(GRID_TEXT)
-    assert spec.width == 5 and spec.height == 4
+    assert {x for x, _ in spec.cells} == set(range(5))
+    assert {y for _, y in spec.cells} == set(range(4))
     assert spec.start == (0, 0) and spec.goal == (4, 3)
     assert spec.room_of[(1, 0)] == "Room1"
     assert spec.room_of[(4, 1)] == "Room2"

@@ -7,8 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from poql.agent import (ExtendedState, QTable, RandomAgent, replay, run_episode,
-                        update_q_values)
+from poql.agent import QTable, RandomAgent, replay, run_episode
 from poql.checkpoint import model_to_dict
 from poql.envs import ENVIRONMENT_NAMES, hot_beverage_world, make_environment
 from poql.learn import (
@@ -30,7 +29,8 @@ from poql.models import (
     write_trace_file,
 )
 
-from helpers import edge_mass, reachable_states, reference_ioalergia, sample_pomdp_traces
+from helpers import (edge_mass, observation_part, reachable_states, reference_ioalergia,
+                     reference_replay, reference_step, sample_pomdp_traces)
 
 
 def _trace(initial, *steps):
@@ -46,7 +46,6 @@ def test_iofpta_single_trace():
     assert tree.root.label == "init"
     assert tree.root.freq == {("coin", "beep"): 1}
     assert tree.root.children[("coin", "beep")].label == "beep"
-    assert tree.num_traces == 1
 
 
 def test_iofpta_counts_multiplicities():
@@ -190,7 +189,7 @@ def test_compatible_tests_tails_exactly_above_two_over_e_squared():
 def _random_episodes(env, n, seed):
     """Observation traces of n uniform-random-policy episodes of env."""
     agent, rng = RandomAgent(env.actions), random.Random(seed)
-    return [RewardObservationTrace(*run_episode(env, agent, rng)).observation_part()
+    return [observation_part(RewardObservationTrace(*run_episode(env, agent, rng)))
             for _ in range(n)]
 
 
@@ -381,7 +380,7 @@ def test_trace_files_load_with_one_tuple_per_distinct_pair(tmp_path):
     path = tmp_path / "episodes.txt"
     write_trace_file(episodes, path)
     traces = observation_traces_from_file(path)
-    assert traces == [t.observation_part() for t in read_trace_file(path)]
+    assert traces == [observation_part(t) for t in read_trace_file(path)]
     (_, first), (_, second) = traces
     assert first[0] is second[0]  # ("go", "b") after rewards 5.0 and 0.0
     assert first[1] is second[1]
@@ -470,7 +469,7 @@ def test_observation_traces_share_one_tuple_per_pair(episodes):
     history = [RewardObservationTrace(init, 0.0, tuple(steps))
                for init, steps in episodes]
     traces = observation_traces(history)
-    assert traces == [t.observation_part() for t in history]
+    assert traces == [observation_part(t) for t in history]
     first: dict = {}
     for _, steps in traces:
         for pair in steps:
@@ -680,27 +679,6 @@ def test_run_ioalergia_matches_a_plain_ioalergia(name, n_traces, length, repeats
 _UNDEFINED_EPISODE = ("a", (("x", "a"), ("z", "b"), ("x", "a"), ("y", "c")))
 
 
-def _reference_step(key, action, obs, model):
-    """step_to read off model.trans and model.label directly."""
-    _, state, defined = key
-    if defined:
-        for succ, p in model.trans.get((state, action), {}).items():
-            if p > 0 and model.label[succ] == obs:
-                return (obs, succ, True)
-    return (obs, state, False)
-
-
-def _reference_replay(q, model, history, alpha, gamma):
-    """replay with a fresh ExtendedState built at every step, starting from
-    each episode's own initial observation."""
-    for episode in history:
-        ext = ExtendedState(episode.initial_obs, model.initial, True)
-        for action, reward, obs in episode.steps:
-            nxt = ExtendedState(*_reference_step(ext, action, obs, model))
-            update_q_values(q, ext, action, reward, nxt, alpha, gamma)
-            ext = nxt
-
-
 @st.composite
 def _model_and_history(draw):
     """A model learned from one sample, and a rewarded history that mixes
@@ -728,7 +706,7 @@ def test_step_to_matches_a_walk_over_trans_and_label(case):
         assert tracker == expected
         for action, _, obs in episode.steps:
             prev, tracker = tracker, step_to(tracker, action, obs, model)
-            expected = _reference_step(expected, action, obs, model)
+            expected = reference_step(expected, action, obs, model)
             assert tracker == expected
             if tracker.defined:  # the model's shared object for that step
                 assert step_to(prev, action, obs, model) is tracker
@@ -744,5 +722,5 @@ def test_replay_matches_a_replay_that_builds_every_key(case, alpha, gamma):
     actions = ("x", "y", "z")
     fast, reference = QTable(actions), QTable(actions)
     replay(fast, model, history, alpha, gamma)
-    _reference_replay(reference, model, history, alpha, gamma)
+    reference_replay(reference, model, history, alpha, gamma)
     assert list(fast.items()) == list(reference.items())

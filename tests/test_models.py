@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from poql.beliefs import build_belief_mdp
+from poql.learn import observation_traces
 from poql.models import (
     DeterministicLabeledMdp,
     Mdp,
@@ -23,7 +24,7 @@ from poql.models import (
     write_trace_file,
 )
 
-from helpers import discounted_return, isomorphic, reachable_states
+from helpers import discounted_return, isomorphic, observation_part, reachable_states, rewards
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +118,9 @@ def test_step_to_replay_is_deterministic(beverage_belief_model):
 
 def test_trace_observation_part():
     rt = RewardObservationTrace("init", 0.0, (("coin", 0.0, "beep"), ("button", 100.0, "tea")))
-    assert rt.observation_part() == ("init", (("coin", "beep"), ("button", "tea")))
-    assert rt.rewards() == [0.0, 0.0, 100.0]
+    assert observation_part(rt) == ("init", (("coin", "beep"), ("button", "tea")))
+    assert observation_traces([rt]) == [observation_part(rt)]
+    assert rewards(rt) == [0.0, 0.0, 100.0]
 
 
 def test_trace_format_line():
@@ -175,7 +177,7 @@ def test_trace_file_keeps_the_sign_of_zero(tmp_path):
         assert path.read_text() == (
             f"s:{x!r};a:{x!r}:o;a:{y!r}:o\ns:{y!r};a:{y!r}:o;a:{x!r}:o\n")
         back = read_trace_file(path)
-        assert [repr(r) for t in back for r in t.rewards()] == [
+        assert [repr(r) for t in back for r in rewards(t)] == [
             repr(x), repr(x), repr(y), repr(y), repr(y), repr(x)]
 
 
@@ -336,12 +338,6 @@ def test_dot_export_shape(beverage_belief_model):
     assert '  s0 [label="0|init"];' in dot
     assert '  s0 -> s1 [label="coin:1.0000"];' in dot
     assert dot == dlmdp_to_dot(beverage_belief_model)
-
-
-def test_dot_export_belief_tooltips(beverage_world):
-    bmdp = build_belief_mdp(beverage_world.pomdp)
-    dot = dlmdp_to_dot(bmdp.model, beliefs={s: b.support for s, b in bmdp.belief_of_state.items()})
-    assert 'tooltip="1:0.9,2:0.1"' in dot
 
 
 def test_empty_model_cannot_exist():
