@@ -18,6 +18,11 @@ fire and a tail is compatible with anything. Above 2/e^2 the exact test runs
 at each step of the tail against the other side, so the learned model is
 the same as with a fully expanded tree at every eps_al.
 
+Each node keeps one edge table, (action, observation) -> a mutable
+[count, child] record, next to its per-action count totals. Adding a trace,
+folding a merged subtree, testing compatibility and choosing the next blue
+node each make one lookup per edge and update counts in place; a merge
+redirects the blue node's incoming edge by replacing its record's child.
 Edges are keyed by the traces' own (action, observation) pairs. The loaders
 (`observation_traces`) give equal pairs one shared tuple, which only makes
 the key lookups faster: results depend on key equality alone.
@@ -28,6 +33,7 @@ the returned models are immutable.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from math import log, sqrt
 from types import MappingProxyType
@@ -49,20 +55,41 @@ class InconsistentSample(ValueError):
 _EMPTY = MappingProxyType({})
 
 
+class _EdgeField(Mapping):
+    """Read-only view of one field of every record of an edge table."""
+
+    __slots__ = ("_edges", "_field")
+
+    def __init__(self, edges: Mapping[tuple[str, str], list], field: int):
+        self._edges = edges
+        self._field = field
+
+    def __getitem__(self, key):
+        return self._edges[key][self._field]
+
+    def __iter__(self):
+        return iter(self._edges)
+
+    def __len__(self) -> int:
+        return len(self._edges)
+
+
 class IofptaNode:
     """Prefix tree node: an observation label plus frequency-annotated edges.
 
-    children and freq are keyed by (action, observation); an edge exists iff
-    its frequency is positive. totals caches the per-action frequency sums.
+    edges maps each (action, observation) to a mutable [count, child]
+    record; an edge exists iff its count is positive, and its child's label
+    is always the key's observation. totals caches the per-action count
+    sums. children and freq are read-only views of the records' two fields.
 
     A node that only one trace reaches is a compressed tail: steps is that
     trace's step tuple and pos the index of the node's outgoing step, so the
     node stands for the chain of frequency-1 edges steps[pos:]. Until it is
-    expanded, its children, freq and totals are empty read-only mappings.
+    expanded, its edges and totals are one shared empty read-only mapping.
     Expanded nodes have steps None.
     """
 
-    __slots__ = ("label", "children", "freq", "totals", "red_index", "steps", "pos")
+    __slots__ = ("label", "edges", "totals", "red_index", "steps", "pos")
 
     def __init__(
         self, label: str, steps: Sequence[tuple[str, str]] | None = None, pos: int = 0
@@ -72,11 +99,18 @@ class IofptaNode:
         self.steps = steps
         self.pos = pos
         if steps is None:
-            self.children: dict[tuple[str, str], IofptaNode] = {}
-            self.freq: dict[tuple[str, str], int] = {}
+            self.edges: dict[tuple[str, str], list] = {}
             self.totals: dict[str, int] = {}
         else:
-            self.children = self.freq = self.totals = _EMPTY
+            self.edges = self.totals = _EMPTY
+
+    @property
+    def children(self) -> Mapping[tuple[str, str], IofptaNode]:
+        return _EdgeField(self.edges, 1)
+
+    @property
+    def freq(self) -> Mapping[tuple[str, str], int]:
+        return _EdgeField(self.edges, 0)
 
     def expand(self) -> None:
         """Turn a tail into an ordinary node whose one child is the rest of
@@ -85,28 +119,31 @@ class IofptaNode:
         if steps is None:
             return
         self.steps = None
-        self.children, self.freq, self.totals = {}, {}, {}
+        self.edges, self.totals = {}, {}
         if self.pos < len(steps):
             key = steps[self.pos]
-            self.children[key] = IofptaNode(key[1], steps, self.pos + 1)
-            self.freq[key] = 1
+            self.edges[key] = [1, IofptaNode(key[1], steps, self.pos + 1)]
             self.totals[key[0]] = 1
 
 
 def _add_path(node: IofptaNode, steps: Sequence[tuple[str, str]], pos: int) -> None:
     """Add one count along steps[pos:] from node, expanding tails on the way
-    and ending in a new tail where the tree has no matching child."""
+    and ending in a new tail where the tree has no matching edge."""
     for pos in range(pos, len(steps)):
-        if node.steps is not None:
-            node.expand()
         key = steps[pos]
-        node.freq[key] = node.freq.get(key, 0) + 1
-        node.totals[key[0]] = node.totals.get(key[0], 0) + 1
-        child = node.children.get(key)
-        if child is None:
-            node.children[key] = IofptaNode(key[1], steps, pos + 1)
-            return
-        node = child
+        edge = node.edges.get(key)
+        if edge is None:
+            if node.steps is not None:  # a tail has no edges until expanded
+                node.expand()
+                edge = node.edges.get(key)
+            if edge is None:
+                totals = node.totals
+                totals[key[0]] = totals.get(key[0], 0) + 1
+                node.edges[key] = [1, IofptaNode(key[1], steps, pos + 1)]
+                return
+        edge[0] += 1
+        node.totals[key[0]] += 1  # an existing edge's action has a total
+        node = edge[1]
 
 
 @dataclass(frozen=True)
@@ -178,15 +215,14 @@ def _compatible(r: IofptaNode, b: IofptaNode, bound_scale: float) -> bool:
         else:
             if not _node_compatible(r, b, bound_scale):
                 return False
-            stack.append((r.children, iter(b.children.items())))
+            stack.append((r.edges, iter(b.edges.items())))
         while stack:
-            r_children, b_items = stack[-1]
-            for key, b_child in b_items:
-                r_child = r_children.get(key)
-                if r_child is not None and r_child is not b_child:
-                    if r_child.label != b_child.label:
-                        return False
-                    r, b = r_child, b_child
+            r_edges, b_items = stack[-1]
+            for key, b_edge in b_items:
+                r_edge = r_edges.get(key)
+                # Both children carry the key's observation as their label.
+                if r_edge is not None and r_edge[1] is not b_edge[1]:
+                    r, b = r_edge[1], b_edge[1]
                     break
             else:
                 stack.pop()
@@ -211,16 +247,18 @@ def _node_compatible(r: IofptaNode, b: IofptaNode, bound_scale: float) -> bool:
                 tested[action] = (n1, n2, bound)
     if not tested:
         return True
-    r_freq, b_freq = r.freq, b.freq
-    for key, f1 in r_freq.items():
+    r_edges, b_edges = r.edges, b.edges
+    for key, r_edge in r_edges.items():
         test = tested.get(key[0])
         if test is not None:
             n1, n2, bound = test
-            if abs(f1 / n1 - b_freq.get(key, 0) / n2) >= bound:
+            b_edge = b_edges.get(key)
+            f2 = 0 if b_edge is None else b_edge[0]
+            if abs(r_edge[0] / n1 - f2 / n2) >= bound:
                 return False
-    for key, f2 in b_freq.items():
+    for key, b_edge in b_edges.items():
         test = tested.get(key[0])
-        if test is not None and key not in r_freq and f2 / test[1] >= test[2]:
+        if test is not None and key not in r_edges and b_edge[0] / test[1] >= test[2]:
             return False
     return True
 
@@ -245,48 +283,54 @@ def _tail_compatible(r: IofptaNode, b: IofptaNode, bound_scale: float) -> bool:
         if other.steps is not None:
             return True  # two tails: every bound exceeds 1
         key = steps[pos]
-        n = other.totals.get(key[0], 0)
-        if n:
+        edge = other.edges.get(key)
+        if edge is None:
+            # The tail's key is unseen: rejected iff its action is tested.
+            n = other.totals.get(key[0], 0)
+            return not n or bound_scale * (1.0 / sqrt(n) + 1.0) > 1.0
+        n = other.totals[key[0]]
+        f0 = edge[0]
+        if f0 != n:  # else the tail's key is the action's only one: no difference
             bound = bound_scale * (1.0 / sqrt(n) + 1.0)
             if bound <= 1.0:
-                f0 = other.freq.get(key)
-                if f0 is None or 1.0 - f0 / n >= bound:
+                if 1.0 - f0 / n >= bound:
                     return False
                 if (n - f0) / n >= bound:
                     action = key[0]
-                    for k, f in other.freq.items():
-                        if k[0] == action and k != key and f / n >= bound:
+                    for k, e in other.edges.items():
+                        if k[0] == action and k != key and e[0] / n >= bound:
                             return False
-        other = other.children.get(key)
-        if other is None:
-            return True
+        other = edge[1]
     return True
 
 
 def _fold(target: IofptaNode, source: IofptaNode) -> None:
     """Add source's subtree frequencies into target's region of the automaton.
 
-    Matching edges add up and descend; unmatched subtrees are grafted whole.
-    The walk descends the unmerged source tree, so it terminates even though
-    the target region may contain cycles.
+    Matching edges add up and descend; an unmatched edge's record moves over
+    whole, with its subtree. The walk descends the unmerged source tree, so
+    it terminates even though the target region may contain cycles; the
+    source tree is dropped afterwards, so its records may be shared.
     """
     stack = []
     while True:
         if source.steps is not None:
             _add_path(target, source.steps, source.pos)
-        elif source.freq:
+        elif source.edges:
             target.expand()
-            stack.append((target, source.children, iter(source.freq.items())))
+            stack.append((target, iter(source.edges.items())))
         while stack:
-            node, s_children, s_items = stack[-1]
-            for key, count in s_items:
-                node.freq[key] = node.freq.get(key, 0) + count
-                node.totals[key[0]] = node.totals.get(key[0], 0) + count
-                t_child = node.children.get(key)
-                if t_child is None:
-                    node.children[key] = s_children[key]
+            node, s_items = stack[-1]
+            for key, s_edge in s_items:
+                t_edge = node.edges.get(key)
+                if t_edge is None:
+                    totals = node.totals
+                    totals[key[0]] = totals.get(key[0], 0) + s_edge[0]
+                    node.edges[key] = s_edge
                 else:
-                    target, source = t_child, s_children[key]
+                    t_edge[0] += s_edge[0]
+                    node.totals[key[0]] += s_edge[0]
+                    target, source = t_edge[1], s_edge[1]
                     break
             else:
                 stack.pop()
@@ -320,18 +364,18 @@ def run_ioalergia(
         i = 0
         while i < len(red):
             node = red[i]
-            key = _first_blue_key(node)
-            if key is None:
+            edge = _first_blue_edge(node)
+            if edge is None:
                 i += 1
                 continue
             changed = True
-            blue = node.children[key]
+            blue = edge[1]
             merged = False
             for candidate in red:
                 if candidate.label == blue.label and compatible(
                     candidate, blue, config.eps_al
                 ):
-                    node.children[key] = candidate
+                    edge[1] = candidate
                     _fold(candidate, blue)
                     merged = True
                     break
@@ -344,9 +388,8 @@ def run_ioalergia(
 
     counts: dict[tuple[int, str], dict[int, int]] = {}
     for node in red:
-        for key, count in node.freq.items():
-            action = key[0]
-            succ = node.children[key].red_index
+        for (action, _), (count, child) in node.edges.items():
+            succ = child.red_index
             entry = counts.setdefault((node.red_index, action), {})
             entry[succ] = entry.get(succ, 0) + count
     return DeterministicLabeledMdp.from_counts(
@@ -354,11 +397,12 @@ def run_ioalergia(
         {node.red_index: node.label for node in red}, counts)
 
 
-def _first_blue_key(node: IofptaNode) -> tuple[str, str] | None:
-    best = None
-    for key, child in node.children.items():
-        if child.red_index is None and (best is None or key < best):
-            best = key
+def _first_blue_edge(node: IofptaNode) -> list | None:
+    """The edge record of node's least-keyed blue child, or None."""
+    best_key = best = None
+    for key, edge in node.edges.items():
+        if edge[1].red_index is None and (best is None or key < best_key):
+            best_key, best = key, edge
     return best
 
 

@@ -382,6 +382,11 @@ def read_trace_file(path) -> list[RewardObservationTrace]:
     return traces
 
 
+def _dot_escape(text: str) -> str:
+    """`text` escaped for a DOT double-quoted string; symbols may hold `"` and `\\`."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def dlmdp_to_dot(model: DeterministicLabeledMdp, comment: str | None = None) -> str:
     """Render a labeled model as a DOT digraph with a stable node/edge order.
 
@@ -396,13 +401,13 @@ def dlmdp_to_dot(model: DeterministicLabeledMdp, comment: str | None = None) -> 
     lines.append('  __start [shape=none, label=""];')
     lines.append(f"  __start -> s{model.initial};")
     for s in sorted(model.states):
-        lines.append(f'  s{s} [label="{s}|{model.label[s]}"];')
+        lines.append(f'  s{s} [label="{s}|{_dot_escape(model.label[s])}"];')
     edges = []
     for (s, a), dist in model.trans.items():
         for succ, p in dist.items():
             if p > 0:
                 edges.append((s, a, succ, float(p)))
     for s, a, succ, p in sorted(edges):
-        lines.append(f'  s{s} -> s{succ} [label="{a}:{p:.4f}"];')
+        lines.append(f'  s{s} -> s{succ} [label="{_dot_escape(a)}:{p:.4f}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

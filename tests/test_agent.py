@@ -4,7 +4,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 import poql.agent as agent_mod
 from poql.agent import (
@@ -259,7 +259,10 @@ def test_train_freeze_keeps_collecting_history():
     assert len(agent.history) == 110
 
 
-@settings(max_examples=8, deadline=None)
+# Each example is a whole run, so a failure is reported unshrunk: shrinking
+# one takes minutes.
+@settings(max_examples=8, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
 @given(name=st.sampled_from([n for n in ENVIRONMENT_NAMES if n != "grid"]),
        seed=st.integers(0, 2**16), bootstrap=st.integers(1, 60),
        interval=st.integers(40, 160), freeze=st.one_of(st.none(), st.integers(0, 300)),

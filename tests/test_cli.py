@@ -1,14 +1,16 @@
 import hashlib
 import json
 import math
+import re
 import shutil
 
 import pytest
 
-from poql.checkpoint import ConfigError, load_checkpoint, model_from_dict
+from poql.checkpoint import ConfigError, load_checkpoint, model_from_dict, model_to_dict
 from poql.cli import main
 from poql.agent import evaluate
 from poql.envs import make_environment
+from poql.learn import run_ioalergia
 
 
 def _config(outdir, agent="poql", env_name="hot_beverage", seed=7, **agent_overrides):
@@ -244,6 +246,32 @@ def test_export_dot_beverage_model_shape(beverage_run, capsys):
     labels = sorted(line.split("|")[1].split('"')[0]
                     for line in dot.splitlines() if "label=\"" in line and "|" in line)
     assert labels == ["beep", "beep", "coffee", "init", "tea"]
+
+
+# One DOT statement per line: a node or an edge with one double-quoted label,
+# in which only an escaped character may follow a backslash.
+_DOT_STATEMENT = re.compile(
+    r'  (\w+)(?: -> (\w+))? \[(?:shape=none, )?label="((?:[^"\\]|\\.)*)"\];')
+
+
+def test_export_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
+    """Symbols may hold `"` and `\\`; the exported labels escape both, so the
+    DOT parses and each label reads back as the symbol it shows."""
+    model = run_ioalergia([("init", (("co\\in", 'be"ep'), ("push", "init")))] * 3)
+    (tmp_path / "model.json").write_text(json.dumps(model_to_dict(model)))
+    assert main(["export-dot", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "digraph model {" and lines[-1] == "}"
+    labels = []
+    for line in lines[1:-1]:
+        if line.startswith("  //") or line == "  __start -> s0;":
+            continue
+        match = _DOT_STATEMENT.fullmatch(line)
+        assert match, line
+        labels.append(re.sub(r"\\(.)", r"\1", match[3]))
+    assert '1|be"ep' in labels
+    assert "co\\in:1.0000" in labels
+    assert sum('"' in label or "\\" in label for label in labels) == 2
 
 
 def test_export_dot_rejects_empty_model(tmp_path, capsys):

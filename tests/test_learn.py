@@ -3,6 +3,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -10,8 +11,10 @@ from hypothesis import assume, given, settings, strategies as st
 from poql.agent import QTable, RandomAgent, replay, run_episode
 from poql.checkpoint import model_to_dict
 from poql.envs import ENVIRONMENT_NAMES, hot_beverage_world, make_environment
+import poql.learn
 from poql.learn import (
     InconsistentSample,
+    IofptaNode,
     LearnerConfig,
     _bound_scale,
     build_iofpta,
@@ -80,9 +83,13 @@ def test_iofpta_compresses_unique_tails():
     # Two traces reach beep, but only one continues past it: a tail.
     assert tree.root.freq == {("coin", "beep"): 2}
     assert (beep.steps, beep.pos) == (steps, 1)
-    assert beep.children == beep.freq == beep.totals == {}
+    assert beep.edges == beep.children == beep.freq == beep.totals == {}
     with pytest.raises(TypeError):
         beep.freq[("button", "tea")] = 1
+    with pytest.raises(TypeError):
+        beep.edges[("button", "tea")] = [1, IofptaNode("tea")]
+    with pytest.raises(TypeError):
+        beep.totals["button"] = 1
     assert edge_mass(tree) == 4
 
     beep.expand()
@@ -180,6 +187,68 @@ def test_compatible_tests_tails_exactly_above_two_over_e_squared():
     for eps_al in (0.3, 0.5, 1.0):
         assert not compatible(seen, tail, eps_al)
         assert not compatible(tail, seen, eps_al)
+
+
+def _node(**counts):
+    """The root of a tree whose one-step traces take action x to each
+    observation `counts` names, that many times: an expanded node."""
+    return build_iofpta([_trace("a", ("x", obs)) for obs, count in counts.items()
+                         for _ in range(count)]).root
+
+
+def _node_bound(eps_al, n1, n2):
+    return _bound_scale(eps_al) * (1.0 / math.sqrt(n1) + 1.0 / math.sqrt(n2))
+
+
+def _eps_al_at_tie(n1, n2, diff):
+    """A float eps_al whose bound for totals n1 and n2 equals diff exactly,
+    found by bisection and then a walk over the neighbouring ulps."""
+    lo, hi = 1e-9, 1.0
+    while math.nextafter(lo, 1.0) < hi:
+        mid = (lo + hi) / 2
+        if _node_bound(mid, n1, n2) > diff:
+            lo = mid
+        else:
+            hi = mid
+    eps_al = hi
+    for _ in range(200):
+        eps_al = math.nextafter(eps_al, 0.0)
+    for _ in range(400):
+        if _node_bound(eps_al, n1, n2) == diff:
+            return eps_al
+        eps_al = math.nextafter(eps_al, 1.0)
+    raise AssertionError(f"no eps_al ties n1={n1}, n2={n2} at {diff!r}")
+
+
+@pytest.mark.parametrize("r_counts,b_counts,deciding", [
+    ({"b": 8, "c": 2}, {"b": 2, "c": 8}, (0.8, 0.2)),  # key b, on both sides
+    ({"b": 9, "c": 1}, {"b": 5, "d": 5}, (0.0, 0.5)),  # key d, only on b's side
+    ({"b": 2}, {"c": 2}, (0.0, 1.0)),  # key c, at a bound of exactly 1
+])
+def test_node_compatible_rejects_a_difference_equal_to_its_bound(r_counts, b_counts,
+                                                                 deciding):
+    """The Hoeffding test rejects when a frequency difference reaches the
+    bound, not only when it exceeds it: at an eps_al where the deciding key's
+    difference equals the bound in floats, the nodes are incompatible, and
+    at the nearest smaller eps_al with a larger bound they are compatible."""
+    r, b = _node(**r_counts), _node(**b_counts)
+    n1, n2 = sum(r_counts.values()), sum(b_counts.values())
+    diff = abs(deciding[0] - deciding[1])
+    eps_al = _eps_al_at_tie(n1, n2, diff)
+    assert not compatible(r, b, eps_al)
+    while _node_bound(eps_al, n1, n2) == diff:
+        eps_al = math.nextafter(eps_al, 0.0)
+    assert compatible(r, b, eps_al)
+
+
+def test_node_compatible_tests_keys_only_the_second_node_has():
+    """The blue side's key d, unseen at r, decides: its difference 0.5 is
+    over the bound, and those of r's keys b (0.4) and c (0.1) are under."""
+    r, b = _node(b=9, c=1), _node(b=5, d=5)
+    assert 0.4 < _node_bound(0.7, 10, 10) < 0.5
+    assert not compatible(r, b, 0.7)
+    assert not compatible(b, r, 0.7)
+    assert compatible(r, _node(b=5, c=5), 0.7)
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +508,35 @@ def test_iofpta_edge_mass_counts_every_step(traces):
 @given(traces=_samples(), eps_al=_EPS_AL)
 def test_learned_model_conserves_mass_and_replays_its_sample(traces, eps_al):
     _assert_sample_replays(traces, run_ioalergia(traces, LearnerConfig(eps_al)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(traces=_samples(), eps_al=_EPS_AL)
+def test_edge_tables_stay_consistent_through_the_merges(traces, eps_al):
+    """After a whole run, every node left reachable from the root (states,
+    and the subtrees that merges grafted onto them) keys each edge record by
+    its child's observation, and keeps totals equal to its edges' counts."""
+    trees = []
+
+    def build_and_keep(sample):
+        trees.append(build_iofpta(sample))
+        return trees[-1]
+
+    with mock.patch.object(poql.learn, "build_iofpta", build_and_keep):
+        run_ioalergia(traces, LearnerConfig(eps_al))
+    seen, stack = set(), [trees[0].root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        totals: dict = {}
+        for (action, obs), (count, child) in node.edges.items():
+            assert child.label == obs and count >= 1
+            totals[action] = totals.get(action, 0) + count
+            stack.append(child)
+        assert node.totals == totals
+        assert node.steps is None or node.edges == {}
 
 
 @settings(max_examples=100, deadline=None)
