@@ -48,6 +48,20 @@ class QTable(dict):
         self.index = {a: i for i, a in enumerate(self.actions)}
 
 
+def randbelow(n: int, rng: random.Random) -> int:
+    """`rng.randrange(n)` for an integer n >= 1, from the same draws.
+
+    This is the rejection loop that `random.Random.randrange(n)` runs, without
+    its argument checks and the two calls around it, so a seeded generator
+    gives the same values and ends in the same state.
+    """
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def get_action(
     q: QTable, state, epsilon: float, actions: Sequence[str], rng: random.Random
 ) -> str:
@@ -57,15 +71,15 @@ def get_action(
     identity, so its action is picked (ValueError if that object repeats).
     """
     if epsilon > 0.0 and rng.random() < epsilon:
-        return actions[rng.randrange(len(actions))]
+        return actions[randbelow(len(actions), rng)]
     row = q.get(state)
     if row is None:
-        return actions[rng.randrange(len(actions))]
+        return actions[randbelow(len(actions), rng)]
     best = max(row)
     if row.count(best) == 1:
         return actions[row.index(best)]
     ties = [i for i, v in enumerate(row) if v == best]
-    return actions[ties[rng.randrange(len(ties))]]
+    return actions[ties[randbelow(len(ties), rng)]]
 
 
 def update_q_values(
@@ -223,7 +237,7 @@ class RandomAgent:
         self.gamma = gamma
 
     def choose(self, obs: str, rng: random.Random) -> str:
-        return self.actions[rng.randrange(len(self.actions))]
+        return self.actions[randbelow(len(self.actions), rng)]
 
 
 def run_episode(
@@ -242,10 +256,12 @@ def run_episode(
     learn=(alpha, gamma) every step also backs up agent.q. Any other agent
     is a fixed policy: each step plays agent.choose(latest observation,
     rng), and learn raises TypeError before the environment is reset. The
-    result unpacks into a RewardObservationTrace. With discount=gamma no
-    steps are recorded, and the result is the discounted return of the step
-    rewards, summed as `total += factor * r; factor *= gamma` from total 0.0
-    and factor 1.0.
+    result unpacks into a RewardObservationTrace; recorded steps with the
+    same action and observation share one tuple while their rewards are one
+    object (identity, not equality, so 0.0 and -0.0 never share). With
+    discount=gamma no steps are recorded, and the result is the discounted
+    return of the step rewards, summed as `total += factor * r; factor *=
+    gamma` from total 0.0 and factor 1.0.
     """
     tabular = isinstance(agent, TabularAgent)
     if learn is not None:
@@ -254,7 +270,10 @@ def run_episode(
         alpha, gamma = learn
     obs, reward = env.reset()
     step = env.step
-    steps = [] if discount is None else None
+    steps = shared = None
+    if discount is None:
+        # shared: (action, obs) -> the last step recorded with them.
+        steps, shared = [], {}
     total = 0.0
     factor = 1.0
     done = False
@@ -273,7 +292,10 @@ def run_episode(
                 total += factor * r
                 factor *= discount
             else:
-                steps.append((action, r, new_obs))
+                record = shared.get((action, new_obs))
+                if record is None or record[1] is not r:
+                    record = shared[action, new_obs] = (action, r, new_obs)
+                steps.append(record)
             key = nxt
     else:
         choose = agent.choose
@@ -285,7 +307,10 @@ def run_episode(
                 total += factor * r
                 factor *= discount
             else:
-                steps.append((action, r, new_obs))
+                record = shared.get((action, new_obs))
+                if record is None or record[1] is not r:
+                    record = shared[action, new_obs] = (action, r, new_obs)
+                steps.append(record)
     if steps is None:
         return total
     return obs, reward, tuple(steps)

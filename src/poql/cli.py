@@ -220,7 +220,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    configs = sorted(p for pattern in args.patterns for p in glob.glob(pattern))
+    # A config that several patterns match runs once, at its first place in
+    # sorted order.
+    first: dict[str, str] = {}
+    for path in sorted(p for pattern in args.patterns for p in glob.glob(pattern)):
+        first.setdefault(os.path.realpath(path), path)
+    configs = list(first.values())
     if not configs:
         raise ConfigError("no configs matched")
     failures = 0

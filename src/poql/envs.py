@@ -397,33 +397,31 @@ def thinmaze_world() -> World:
     return grid_pomdp(_thinmaze_spec(), bump_obs="wall")
 
 
-def _state_table(
-    pomdp: Pomdp,
-) -> dict[int, tuple[str, float, bool, dict[str, tuple[tuple[float, ...], tuple[int, ...]]]]]:
-    """One row per state: what entering it yields (observation, reward, goal)
-    and, per action of the model and no other, the successor sampler.
+def _state_rows(pomdp: Pomdp) -> dict[int, tuple]:
+    """One row per state: what entering it yields, its successor samplers and
+    its id, as (observation, reward, goal, samplers, state).
 
-    A sampler holds cumulative successor probabilities, the last pinned to
-    1.0, and the successors in sorted order. The successor for a uniform
-    draw r is the first whose cumulative probability exceeds r.
+    A sampler, per action of the model and no other, holds cumulative
+    successor probabilities, the last pinned to 1.0, and the successors' rows
+    in sorted state order. The successor for a uniform draw r is the first
+    whose cumulative probability exceeds r.
     """
     mdp = pomdp.mdp
-    table = {}
-    for state in mdp.states:
-        samplers = {}
+    rows = {state: (pomdp.obs(state), pomdp.reward(state),
+                    state in pomdp.goal_states, {}, state)
+            for state in mdp.states}
+    for state, row in rows.items():
         for action in mdp.actions:
             cum: list[float] = []
-            succs: list[int] = []
+            succs: list[tuple] = []
             acc = 0.0
             for succ, p in sorted(mdp.delta[(state, action)].items()):
                 acc += float(p)
                 cum.append(acc)
-                succs.append(succ)
+                succs.append(rows[succ])
             cum[-1] = 1.0
-            samplers[action] = (tuple(cum), tuple(succs))
-        table[state] = (pomdp.obs(state), pomdp.reward(state),
-                        state in pomdp.goal_states, samplers)
-    return table
+            row[3][action] = (tuple(cum), tuple(succs))
+    return rows
 
 
 class EpisodeProtocolError(RuntimeError):
@@ -454,43 +452,38 @@ class Environment:
         self.name = name
         self.max_steps = max_steps
         self.actions = pomdp.mdp.actions
-        self._table = _state_table(pomdp)
+        self._initial = _state_rows(pomdp)[pomdp.mdp.initial]
         self._rng = random.Random(seed)
-        self._state: int | None = None
+        self._row: tuple | None = None  # the hidden state's row
         self._steps = 0
         self._done = True
-        self._goal = False
 
     def reseed(self, seed: int | str) -> None:
         self._rng = random.Random(seed)
 
     def reset(self) -> tuple[str, float]:
         """Start a new episode; returns the initial observation and reward."""
-        self._state = self.pomdp.mdp.initial
+        row = self._row = self._initial
         self._steps = 0
         self._done = False
-        obs, reward, self._goal, _ = self._table[self._state]
-        return obs, reward
+        return row[0], row[1]
 
     def step(self, action: str) -> tuple[str, float, bool]:
         """Perform an action; returns (observation, reward, done)."""
         if self._done:
             raise EpisodeProtocolError("episode is over; call reset() first")
-        table = self._table
-        sampler = table[self._state][3].get(action)  # None: unknown action
+        sampler = self._row[3].get(action)  # None: unknown action
         if sampler is None:
             raise ValueError(f"unknown action {action!r}")
-        cum, succs = sampler
-        state = self._state = succs[bisect_right(cum, self._rng.random())]
-        obs, reward, goal, _ = table[state]
+        cum, rows = sampler
+        row = self._row = rows[bisect_right(cum, self._rng.random())]
         self._steps += 1
-        self._goal = goal
-        self._done = done = goal or self._steps >= self.max_steps
-        return obs, reward, done
+        self._done = done = row[2] or self._steps >= self.max_steps
+        return row[0], row[1], done
 
     @property
     def goal_reached(self) -> bool:
-        return self._goal
+        return self._row is not None and self._row[2]
 
     @property
     def step_count(self) -> int:

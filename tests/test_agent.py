@@ -16,6 +16,7 @@ from poql.agent import (
     baseline_obs_q,
     evaluate,
     get_action,
+    randbelow,
     replay,
     run_episode,
     train,
@@ -25,9 +26,13 @@ from poql.beliefs import build_belief_mdp
 from poql.checkpoint import model_to_dict, qtable_rows
 from poql.envs import ENVIRONMENT_NAMES, Environment, make_environment
 from poql.models import (
+    Mdp,
+    Pomdp,
     RewardObservationTrace,
+    read_trace_file,
     reset_to_initial,
     step_to,
+    write_trace_file,
 )
 
 from helpers import (RepeatActionAgent, fully_observable, reference_episode,
@@ -110,6 +115,26 @@ def test_get_action_matches_the_tie_list_rule(row, epsilon, seed, known):
         assert (get_action(q, "s", epsilon, ACTIONS, fast)
                 == _reference_get_action(q, "s", epsilon, ACTIONS, reference))
         assert fast.getstate() == reference.getstate()
+
+
+@settings(max_examples=200)
+@given(n=st.integers(1, 64), seed=st.integers(0, 2**32))
+def test_randbelow_draws_what_randrange_draws(n, seed):
+    fast, reference = random.Random(seed), random.Random(seed)
+    for _ in range(20):
+        assert randbelow(n, fast) == reference.randrange(n)
+    assert fast.getstate() == reference.getstate()
+
+
+@given(actions=st.lists(st.text("abcxyz", min_size=1, max_size=3), min_size=1,
+                        max_size=9, unique=True),
+       seed=st.integers(0, 2**32))
+def test_random_agent_picks_what_randrange_picks(actions, seed):
+    agent = RandomAgent(actions)
+    fast, reference = random.Random(seed), random.Random(seed)
+    for _ in range(10):
+        assert agent.choose("obs", fast) == actions[reference.randrange(len(actions))]
+    assert fast.getstate() == reference.getstate()
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +531,45 @@ def test_run_episode_matches_the_protocol_loop(
                              env.goal_reached, env.step_count))
         results.append((episodes, rows, rng.getstate()))
     assert results[0] == results[1]
+
+
+def _signed_zero_environment() -> Environment:
+    """One observation and one action; every step enters state 1 (reward
+    -0.0) or state 2 (reward 0.0) with probability 1/2 each."""
+    coin = {1: 0.5, 2: 0.5}
+    pomdp = Pomdp(
+        mdp=Mdp((0, 1, 2), 0, ("go",), {(s, "go"): coin for s in (0, 1, 2)}),
+        observations=("o",),
+        obs_fn={0: "o", 1: "o", 2: "o"},
+        reward_fn={1: -0.0},
+        goal_states=frozenset(),
+    )
+    return Environment(pomdp, seed=3, max_steps=30)
+
+
+@pytest.mark.parametrize("kind", ["random", "baseline"])
+def test_recorded_steps_keep_the_sign_of_a_zero_reward(tmp_path, kind):
+    """Steps with the same (action, obs) and rewards 0.0 and -0.0 keep their
+    own signs in the recorded history and through `write_trace_file`."""
+    env = _signed_zero_environment()
+    if kind == "random":
+        agent = RandomAgent(env.actions)
+    else:
+        agent = TabularAgent(QTable(env.actions), _quick_config())
+    history = [RewardObservationTrace(*run_episode(env, agent, random.Random(0)))
+               for _ in range(3)]
+    env.reseed(3)
+    played = [reference_episode(env, agent, random.Random(0), 0.0, None)[2]
+              for _ in range(3)]
+
+    def signs(steps):
+        return [math.copysign(1.0, r) for _, r, _ in steps]
+
+    assert [signs(t.steps) for t in history] == [signs(steps) for steps in played]
+    assert {-1.0, 1.0} <= set(signs(history[0].steps))
+    write_trace_file(history, tmp_path / "traces.txt")
+    reread = read_trace_file(tmp_path / "traces.txt")
+    assert [signs(t.steps) for t in reread] == [signs(t.steps) for t in history]
 
 
 class _UnresetEnvironment:

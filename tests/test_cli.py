@@ -1,10 +1,16 @@
+import copy
 import hashlib
+import io
 import json
 import math
 import re
 import shutil
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poql.checkpoint import ConfigError, load_checkpoint, model_from_dict, model_to_dict
 from poql.cli import main
@@ -654,6 +660,74 @@ def test_eval_refuses_model_values_that_no_model_has(beverage_run, tmp_path, cap
     assert _eval_error(ckpt, capsys).startswith(f"{path}: {message}")
 
 
+_CORRUPTIBLE = ("config.json", "model.json", "model.dot", "qtable.txt", "traces.txt")
+_JSON_VALUES = (None, True, 0, -1, 2.5, 2**70, "", "beep", "x:y", [], {}, [0], {"id": 0})
+
+
+def _json_paths(value, path=()):
+    """The path of every value inside a JSON document, root excluded."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+def _corrupt(raw: bytes, kind: str, data) -> bytes:
+    """`raw` after one truncation, byte flip, line deletion or JSON value swap."""
+    if kind == "truncate":
+        return raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    if kind == "flip":
+        at = data.draw(st.integers(0, len(raw) - 1), label="at")
+        mask = data.draw(st.integers(1, 255), label="mask")
+        return raw[:at] + bytes([raw[at] ^ mask]) + raw[at + 1:]
+    if kind == "delete-line":
+        lines = raw.splitlines(keepends=True)
+        del lines[data.draw(st.integers(0, len(lines) - 1), label="line")]
+        return b"".join(lines)
+    doc = json.loads(raw)
+    paths = list(_json_paths(doc))
+    target = data.draw(st.sampled_from(paths), label="target")
+    other = data.draw(st.sampled_from(paths), label="source")
+    source = doc
+    for key in other:
+        source = source[key]
+    # A copy: a value moved inside itself would make the document a cycle.
+    value = data.draw(st.sampled_from((*_JSON_VALUES, copy.deepcopy(source))),
+                      label="value")
+    parent = doc
+    for key in target[:-1]:
+        parent = parent[key]
+    parent[target[-1]] = value
+    return json.dumps(doc, indent=2, sort_keys=True).encode()
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(("truncate", "flip", "delete-line", "json-swap")), data=st.data())
+def test_a_corrupted_checkpoint_file_gives_exit_0_or_one_error_line(beverage_run, kind, data):
+    """One truncation, byte flip, line deletion or JSON value swap in one file
+    of a trained checkpoint: `poql eval` and `poql export-dot` each exit 0,
+    or print exactly one `error:` line and exit 2, never a traceback."""
+    outdir, _ = beverage_run
+    names = [n for n in _CORRUPTIBLE if kind != "json-swap" or n.endswith(".json")]
+    name = data.draw(st.sampled_from(names), label="file")
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = Path(tmp) / "ckpt"
+        shutil.copytree(outdir, ckpt)
+        path = ckpt / name
+        path.write_bytes(_corrupt(path.read_bytes(), kind, data))
+        for argv in (["eval", str(ckpt), "--episodes", "3"], ["export-dot", str(ckpt)]):
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(argv)
+            lines = err.getvalue().splitlines()
+            if code == 0:
+                assert lines == [], argv
+            else:
+                assert code == 2 and len(lines) == 1, (argv, code, lines)
+                assert lines[0].startswith("error: "), argv
+
+
 def test_train_and_eval_build_one_environment_each(tmp_path, monkeypatch):
     """Each command builds its environment once and hands it on."""
     import sys
@@ -731,6 +805,18 @@ def test_sweep_runs_matching_configs(tmp_path):
     assert main(["sweep", str(tmp_path / "sweep*.json")]) == 0
     for i in range(2):
         assert json.loads((tmp_path / f"sweep{i}" / "run.json").read_text())["status"] == "complete"
+
+
+def test_sweep_runs_a_config_that_several_patterns_match_once(tmp_path, capsys):
+    for name in ("b", "a"):
+        _write_config(tmp_path, f"{name}.json", _config(tmp_path / name, max_episodes=200))
+    (tmp_path / "sub").mkdir()
+    patterns = ["*.json", "a.json", "sub/../b.json", "a.json"]
+    assert main(["sweep", *(str(tmp_path / p) for p in patterns)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("==")] == [
+        f"== {tmp_path / 'a.json'}", f"== {tmp_path / 'b.json'}"]
+    assert out[-1] == "sweep finished: 2/2 runs succeeded"
 
 
 def test_sweep_without_matches_fails(tmp_path, capsys):

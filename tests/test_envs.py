@@ -288,9 +288,10 @@ _WALK_CASES.append(("grid", {"layout": GRID_TEXT, "slip": Fraction(1, 5)}))
 @pytest.mark.parametrize("name,params", _WALK_CASES,
                          ids=[*ENVIRONMENT_NAMES, "grid-slip"])
 def test_step_draws_the_successors_of_a_bisect_walk_over_delta(name, params):
-    """The per-state table makes the same draws as a walk over
-    pomdp.mdp.delta that bisects cumulative float probabilities, and rejects
-    bad steps with the same errors."""
+    """The linked state rows make the same draws as a walk over
+    pomdp.mdp.delta that bisects cumulative float probabilities, reach the
+    same hidden state (the id each row carries last) at every step, and
+    reject bad steps with the same errors."""
     env = make_environment(name, seed=11, **params)
     mdp = env.pomdp.mdp
     samplers = {key: cumulative_sampler(dist) for key, dist in mdp.delta.items()}
@@ -303,11 +304,14 @@ def test_step_draws_the_successors_of_a_bisect_walk_over_delta(name, params):
         cum, succs = samplers[(state, action)]
         state = succs[bisect_right(cum, draws.random())]
         done = env.step(action)[2]
-        walked.append(env._state)
+        walked.append(env._row[-1])
         expected.append(state)
+        assert env._row[:3] == (env.pomdp.obs(state), env.pomdp.reward(state),
+                                state in env.pomdp.goal_states)
         if done:
             env.reset()
             state = mdp.initial
+            assert env._row[-1] == state
     assert walked == expected
     assert env._rng.getstate() == draws.getstate()
 
