@@ -4,7 +4,6 @@ deterministic labeled MDPs learned passively from the agent's own traces."""
 from .agent import (
     AgentConfig,
     EvalStats,
-    QTable,
     RandomAgent,
     TabularAgent,
     baseline_obs_q,

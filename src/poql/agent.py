@@ -33,21 +33,6 @@ from .models import (
 )
 
 
-class QTable(dict):
-    """Map from a state key to its row of action values, one per action.
-
-    Rows materialize lazily, so keys never paired with an action have no row
-    (every value 0) and never appear in exports.
-    """
-
-    __slots__ = ("actions", "index")
-
-    def __init__(self, actions: Sequence[str]):
-        super().__init__()
-        self.actions = tuple(actions)
-        self.index = {a: i for i, a in enumerate(self.actions)}
-
-
 def randbelow(n: int, rng: random.Random) -> int:
     """`rng.randrange(n)` for an integer n >= 1, from the same draws.
 
@@ -63,7 +48,7 @@ def randbelow(n: int, rng: random.Random) -> int:
 
 
 def get_action(
-    q: QTable, state, epsilon: float, actions: Sequence[str], rng: random.Random
+    q: dict, state, epsilon: float, actions: Sequence[str], rng: random.Random
 ) -> str:
     """Epsilon-greedy action choice with uniform tie-breaking among maxima.
 
@@ -83,26 +68,34 @@ def get_action(
 
 
 def update_q_values(
-    q: QTable, state, action: str, reward: float, next_state, alpha: float, gamma: float
+    q: dict, actions: tuple[str, ...], state, action: str, reward: float, next_state,
+    alpha: float, gamma: float,
 ) -> None:
-    """One temporal-difference backup toward reward + gamma * best next value."""
+    """One temporal-difference backup toward reward + gamma * best next value.
+
+    `q` maps a state key to its row of action values, in the order of
+    `actions`. Rows materialize lazily, so keys never paired with an action
+    have no row (every value 0) and never appear in exports.
+    """
     row = q.get(state)
     if row is None:
-        row = q[state] = [0.0] * len(q.actions)
-    i = q.index[action]
+        row = q[state] = [0.0] * len(actions)
+    i = actions.index(action)
     next_row = q.get(next_state)
     max_next = max(next_row) if next_row is not None else 0.0
     row[i] = (1.0 - alpha) * row[i] + alpha * (reward + gamma * max_next)
 
 
 def replay(
-    q: QTable,
+    q: dict,
     model: DeterministicLabeledMdp,
     history: Iterable[RewardObservationTrace],
+    actions: tuple[str, ...],
     alpha: float,
     gamma: float,
 ) -> None:
-    """Rebuild a fresh Q-table by replaying stored episodes through a model.
+    """Rebuild a fresh Q-table, with columns in the order of `actions`, by
+    replaying stored episodes through a model.
 
     Each episode is traced on the model exactly as it would have been online:
     reset the tracker, then advance it by (action, new observation) and apply
@@ -112,7 +105,7 @@ def replay(
         key = reset_to_initial(model)
         for action, reward, obs in episode.steps:
             nxt = step_to(key, action, obs, model)
-            update_q_values(q, key, action, reward, nxt, alpha, gamma)
+            update_q_values(q, actions, key, action, reward, nxt, alpha, gamma)
             key = nxt
 
 
@@ -192,18 +185,19 @@ class TabularAgent:
     """A Q-learner: Q-table, optional learned model, episode history and
     evaluation rows.
 
-    The Q-table key is the tracker's position on `model` (see `step_to`), or
-    the raw observation when `model` is None, as for the observation-only
-    baseline. `run_episode` and `replay` are the only code that applies that
-    rule.
+    The Q-table `q` is a plain dict from key to row, whose columns follow
+    `actions` (the environment's action tuple). The key is the tracker's
+    position on `model` (see `step_to`), or the raw observation when `model`
+    is None, as for the observation-only baseline. `run_episode` and
+    `replay` are the only code that applies that rule.
     """
 
-    def __init__(self, q: QTable, config: AgentConfig,
+    def __init__(self, actions: Sequence[str], config: AgentConfig,
                  model: DeterministicLabeledMdp | None = None):
-        self.q = q
+        self.actions = tuple(actions)
+        self.q: dict = {}
         self.config = config
         self.model = model
-        self.actions = q.actions
         self.gamma = config.gamma
         self.history: list[RewardObservationTrace] = []
         self.eval_rows: list[dict] = []
@@ -220,8 +214,8 @@ class TabularAgent:
             return
         self.model = _learn_model(self.history, config)
         self.relearn_episodes.append(episode)
-        self.q = QTable(self.actions)
-        replay(self.q, self.model, self.history, config.alpha, config.gamma)
+        self.q = {}
+        replay(self.q, self.model, self.history, self.actions, config.alpha, config.gamma)
         if log:
             log(
                 f"episode {episode}: relearned model with "
@@ -287,7 +281,7 @@ def run_episode(
             new_obs, r, done = step(action)
             nxt = new_obs if model is None else step_to(key, action, new_obs, model)
             if learn is not None:
-                update_q_values(q, key, action, r, nxt, alpha, gamma)
+                update_q_values(q, actions, key, action, r, nxt, alpha, gamma)
             if steps is None:
                 total += factor * r
                 factor *= discount
@@ -420,7 +414,7 @@ def train(
         RewardObservationTrace(*run_episode(env, explorer, rng))
         for _ in range(config.bootstrap_episodes)
     ]
-    agent = TabularAgent(QTable(env.actions), config, _learn_model(history, config))
+    agent = TabularAgent(env.actions, config, _learn_model(history, config))
     agent.history = history
     return _train_loop(env, agent, rng, seed, log)
 
@@ -434,7 +428,7 @@ def baseline_obs_q(
     """Train the observation-only baseline: the same loop keyed by raw
     observations, with no learned model, tracker, or replay."""
     rng = random.Random(f"{seed}|agent")
-    return _train_loop(env, TabularAgent(QTable(env.actions), config), rng, seed, log)
+    return _train_loop(env, TabularAgent(env.actions, config), rng, seed, log)
 
 
 def _eval_row(episode: int, stats: EvalStats, agent) -> dict:

@@ -18,7 +18,7 @@ import json
 from contextlib import contextmanager
 from pathlib import Path
 
-from .agent import AgentConfig, QTable, TabularAgent
+from .agent import AgentConfig, TabularAgent
 from .envs import Environment, make_environment
 from .models import (
     DeterministicLabeledMdp,
@@ -99,24 +99,28 @@ def model_from_dict(data: dict) -> DeterministicLabeledMdp:
         _integer(data["initial"], "state id"), actions, label, counts)
 
 
-def qtable_rows(q: QTable) -> list[str]:
+def qtable_rows(q: dict, actions: tuple[str, ...]) -> list[str]:
+    """The sorted `qtable.txt` records of a Q-table whose columns follow `actions`."""
     rows = []
     for state, row in q.items():
         if isinstance(state, ExtendedState):
             prefix = (state.obs, str(state.state), _FLAG[state.defined])
         else:
             prefix = (str(state), "-", "-")
-        for action, value in zip(q.actions, row):
+        for action, value in zip(actions, row):
             rows.append(",".join((*prefix, action, repr(value))))
     return sorted(rows)
 
 
-def qtable_from_rows(lines: list[str], actions: tuple[str, ...]) -> QTable:
-    """Rebuild a Q-table from `qtable.txt` lines; blank and `#` lines are skipped.
+def qtable_from_rows(lines: list[str], actions: tuple[str, ...]) -> dict:
+    """Rebuild a Q-table, with columns in the order of `actions`, from
+    `qtable.txt` lines; blank and `#` lines are skipped.
 
-    A malformed row raises ValueError prefixed with its 1-based line number.
+    A malformed row, or a second row for the same key and action, raises
+    ValueError prefixed with its 1-based line number.
     """
-    q = QTable(actions)
+    q: dict = {}
+    seen = set()
     for lineno, line in enumerate(lines, 1):
         if not line or line.startswith("#"):
             continue
@@ -126,10 +130,13 @@ def qtable_from_rows(lines: list[str], actions: tuple[str, ...]) -> QTable:
                 key: object = obs
             else:
                 key = ExtendedState(obs, int(state), _FLAG_BACK[flag])
-            index = q.index[action]
+            index = actions.index(action)
             number = float(value)
         except (KeyError, ValueError) as exc:
             raise ValueError(f"{lineno}: malformed Q-table row {line!r}") from exc
+        if (key, index) in seen:
+            raise ValueError(f"{lineno}: duplicate Q-table row {line!r}")
+        seen.add((key, index))
         q.setdefault(key, [0.0] * len(actions))[index] = number
     return q
 
@@ -218,7 +225,7 @@ def save_checkpoint(path, agent, exp_config: dict) -> None:
             dlmdp_to_dot(agent.model, comment=f"config_hash={digest}"),
         )
     header = f"{_HASH_LINE}{digest}\n"
-    rows = "\n".join(qtable_rows(agent.q))
+    rows = "\n".join(qtable_rows(agent.q, agent.actions))
     write_text_atomic(out / "qtable.txt", header + rows + "\n")
     traces_path = out / "traces.txt"
     with _writing(traces_path):
@@ -280,7 +287,8 @@ def load_checkpoint(path) -> tuple[TabularAgent, Environment]:
         q = qtable_from_rows(qtable_lines, env.actions)
     except ValueError as exc:
         raise ConfigError(f"{qtable_path}:{exc}") from exc
-    agent = TabularAgent(q, agent_config, model)
+    agent = TabularAgent(env.actions, agent_config, model)
+    agent.q = q
     traces_path = out / "traces.txt"
     if traces_path.exists():
         try:

@@ -147,8 +147,8 @@ class DeterministicLabeledMdp:
     label: Mapping[int, str]
     trans: Mapping[tuple[int, str], Mapping[int, Prob]]
     counts: Mapping[tuple[int, str], Mapping[int, int]] | None = None
-    _successors: dict[tuple[int, str, str], ExtendedState] = field(
-        default_factory=dict, repr=False, compare=False
+    _successors: dict[tuple[ExtendedState, str, str], ExtendedState] = field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
     _initial_key: ExtendedState | None = field(
         default=None, init=False, repr=False, compare=False
@@ -171,16 +171,17 @@ class DeterministicLabeledMdp:
                 f"label determinism violated at ({s}, {a!r}): "
                 f"successors {s1} and {s2} share label {self.label[s1]!r}"
             )
-        # The shared key of the initial state and, per (state, action,
-        # successor label), of a defined step: ExtendedState(label, state,
-        # True); sound because of the determinism invariant checked above.
-        object.__setattr__(self, "_initial_key", ExtendedState(
-            self.label[self.initial], self.initial, True))
+        # One shared key ExtendedState(label[s], s, True) per state, and per
+        # defined step (key, action, successor label) -> the successor's key;
+        # sound because of the determinism invariant checked above.
+        keys = {s: ExtendedState(self.label[s], s, True) for s in self.states}
+        object.__setattr__(self, "_initial_key", keys[self.initial])
         for (s, a), dist in self.trans.items():
+            key = keys[s]
             for succ, p in dist.items():
                 if p > 0:
-                    label = self.label[succ]
-                    self._successors[(s, a, label)] = ExtendedState(label, succ, True)
+                    nxt = keys[succ]
+                    self._successors[(key, a, nxt.obs)] = nxt
 
     @classmethod
     def from_counts(cls, initial: int, actions: Iterable[str], label: Mapping[int, str],
@@ -224,17 +225,18 @@ def step_to(
 ) -> ExtendedState:
     """Advance the tracker by one (action, observation) step.
 
-    If the model has a successor for (state, action) labeled `obs`, move
-    there and return the model's shared, immutable key for that step;
-    otherwise return ExtendedState(obs, state, False), the only result that
-    allocates. Never raises: undefined behavior is encoded in the flag.
+    If `key` is defined and the model has a successor for (key.state,
+    action) labeled `obs`, move there and return the model's shared,
+    immutable key for that state; otherwise return ExtendedState(obs,
+    key.state, False), the only result that allocates. The model's successor
+    table is keyed by (key, action, obs) and holds defined keys only, so one
+    lookup decides both. Never raises: undefined behavior is encoded in the
+    flag.
     """
-    _, state, defined = key
-    if defined:
-        nxt = model._successors.get((state, action, obs))
-        if nxt is not None:
-            return nxt
-    return ExtendedState(obs, state, False)
+    nxt = model._successors.get((key, action, obs))
+    if nxt is None:
+        return ExtendedState(obs, key.state, False)
+    return nxt
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ from bisect import bisect_right
 from types import SimpleNamespace
 from typing import Mapping, NamedTuple, Sequence
 
-from poql.agent import (AgentConfig, EvalStats, QTable, RandomAgent, get_action,
-                        round_steps, update_q_values)
+from poql.agent import (AgentConfig, EvalStats, RandomAgent, get_action, round_steps,
+                        update_q_values)
 from poql.envs import Environment
 from poql.learn import Iofpta
 from poql.models import (DeterministicLabeledMdp, ExtendedState, ObsTrace, Pomdp, Prob,
@@ -297,14 +297,15 @@ def reference_step(key, action: str, obs: str, model) -> ExtendedState:
     return ExtendedState(obs, state, False)
 
 
-def reference_replay(q: QTable, model, history, alpha: float, gamma: float) -> None:
+def reference_replay(q: dict, model, history, actions: tuple[str, ...], alpha: float,
+                     gamma: float) -> None:
     """`replay` with a fresh key built at every step, starting from each
     episode's own initial observation."""
     for episode in history:
         key = ExtendedState(episode.initial_obs, model.initial, True)
         for action, reward, obs in episode.steps:
             nxt = reference_step(key, action, obs, model)
-            update_q_values(q, key, action, reward, nxt, alpha, gamma)
+            update_q_values(q, actions, key, action, reward, nxt, alpha, gamma)
             key = nxt
 
 
@@ -329,7 +330,7 @@ def reference_episode(env: Environment, agent, rng: random.Random, epsilon: floa
         new_obs, r, done = env.step(action)
         nxt = new_obs if model is None else reference_step(key, action, new_obs, model)
         if learn is not None:
-            update_q_values(agent.q, key, action, r, nxt, *learn)
+            update_q_values(agent.q, agent.actions, key, action, r, nxt, *learn)
         steps.append((action, r, new_obs))
         key = nxt
     return obs, reward, tuple(steps)
@@ -356,7 +357,7 @@ def reference_evaluate(agent, env: Environment, n_episodes: int, seed) -> EvalSt
 
 
 class ReferenceRun(NamedTuple):
-    q: QTable
+    q: dict
     model: dict
     eval_rows: list[dict]
     relearn_episodes: list[int]
@@ -381,7 +382,7 @@ def reference_train(env: Environment, config: AgentConfig, seed) -> ReferenceRun
     history = [RewardObservationTrace(*reference_episode(env, explorer, rng, 0.0, None))
                for _ in range(config.bootstrap_episodes)]
     model = reference_ioalergia([observation_part(t) for t in history], config.eps_al)
-    agent = SimpleNamespace(q=QTable(env.actions), actions=env.actions,
+    agent = SimpleNamespace(q={}, actions=env.actions,
                             model=plain_model(model), gamma=config.gamma)
     eval_rows, relearns, stop = [], [], config.max_episodes
     for episode in range(config.max_episodes):
@@ -391,8 +392,9 @@ def reference_train(env: Environment, config: AgentConfig, seed) -> ReferenceRun
         if (episode < config.resolved_freeze_after()
                 and episode % config.update_interval == 0):
             model = reference_ioalergia([observation_part(t) for t in history], config.eps_al)
-            agent.model, agent.q = plain_model(model), QTable(env.actions)
-            reference_replay(agent.q, agent.model, history, config.alpha, config.gamma)
+            agent.model, agent.q = plain_model(model), {}
+            reference_replay(agent.q, agent.model, history, env.actions, config.alpha,
+                             config.gamma)
             relearns.append(episode)
         if (episode + 1) % config.eval_every and episode + 1 < config.max_episodes:
             continue

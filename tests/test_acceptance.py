@@ -17,7 +17,6 @@ import poql
 from poql.agent import (
     AgentConfig,
     ExtendedState,
-    QTable,
     baseline_obs_q,
     evaluate,
     replay,
@@ -165,10 +164,10 @@ def test_criterion_3_update_matches_closed_form():
             max_next = rng.uniform(-50, 50)
             alpha = rng.uniform(1e-6, 1.0)
             gamma = rng.uniform(0.0, 0.999)
-            q = QTable(actions)
+            q = {}
             q["s"] = [old, -1e9, -1e9]
             q["t"] = [max_next, max_next - 1, max_next - 2]
-            update_q_values(q, "s", "a", reward, "t", alpha, gamma)
+            update_q_values(q, actions, "s", "a", reward, "t", alpha, gamma)
             assert q["s"][0] == (1.0 - alpha) * old + alpha * (
                 reward + gamma * max_next
             )
@@ -194,16 +193,16 @@ def test_criterion_4_replay_equals_online():
                 steps.append((action, r, new_obs))
             episode = poql.RewardObservationTrace(obs, reward, tuple(steps))
 
-            online = QTable(env.actions)
+            online = {}
             tracker = reset_to_initial(model)
             ext = ExtendedState(episode.initial_obs, tracker.state, tracker.defined)
             for action, r, o in episode.steps:
                 tracker = step_to(tracker, action, o, model)
                 nxt = ExtendedState(o, tracker.state, tracker.defined)
-                update_q_values(online, ext, action, r, nxt, 0.1, 0.99)
+                update_q_values(online, env.actions, ext, action, r, nxt, 0.1, 0.99)
                 ext = nxt
-            replayed = QTable(env.actions)
-            replay(replayed, model, [episode], 0.1, 0.99)
+            replayed = {}
+            replay(replayed, model, [episode], env.actions, 0.1, 0.99)
             assert replayed == online
 
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -10,7 +11,6 @@ import poql.agent as agent_mod
 from poql.agent import (
     AgentConfig,
     ExtendedState,
-    QTable,
     RandomAgent,
     TabularAgent,
     baseline_obs_q,
@@ -23,7 +23,7 @@ from poql.agent import (
     update_q_values,
 )
 from poql.beliefs import build_belief_mdp
-from poql.checkpoint import model_to_dict, qtable_rows
+from poql.checkpoint import load_checkpoint, model_to_dict, qtable_rows, save_checkpoint
 from poql.envs import ENVIRONMENT_NAMES, Environment, make_environment
 from poql.models import (
     Mdp,
@@ -58,15 +58,15 @@ def _quick_config(**overrides):
 # ---------------------------------------------------------------------------
 
 def test_get_action_pure_greedy_unique_max():
-    q = QTable(ACTIONS)
-    update_q_values(q, "s", "left", 5.0, "t", 1.0, 0.0)
+    q = {}
+    update_q_values(q, ACTIONS, "s", "left", 5.0, "t", 1.0, 0.0)
     rng = random.Random(0)
     assert all(get_action(q, "s", 0.0, ACTIONS, rng) == "left" for _ in range(50))
 
 
 def test_get_action_pure_exploration_is_uniform():
-    q = QTable(ACTIONS)
-    update_q_values(q, "s", "left", 5.0, "t", 1.0, 0.0)
+    q = {}
+    update_q_values(q, ACTIONS, "s", "left", 5.0, "t", 1.0, 0.0)
     rng = random.Random(1)
     counts = Counter(get_action(q, "s", 1.0, ACTIONS, rng) for _ in range(10_000))
     expected = 2500
@@ -76,7 +76,7 @@ def test_get_action_pure_exploration_is_uniform():
 
 
 def test_get_action_breaks_ties_uniformly():
-    q = QTable(ACTIONS)
+    q = {}
     rng = random.Random(2)
     counts = Counter(get_action(q, "fresh", 0.0, ACTIONS, rng) for _ in range(10_000))
     expected = 2500
@@ -107,7 +107,7 @@ _Q_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
 @given(row=st.lists(_Q_VALUES, min_size=4, max_size=4), epsilon=st.sampled_from([0.0, 1.0]),
        seed=st.integers(0, 2**32), known=st.booleans())
 def test_get_action_matches_the_tie_list_rule(row, epsilon, seed, known):
-    q = QTable(ACTIONS)
+    q = {}
     if known:
         q["s"] = row
     fast, reference = random.Random(seed), random.Random(seed)
@@ -142,22 +142,22 @@ def test_random_agent_picks_what_randrange_picks(actions, seed):
 # ---------------------------------------------------------------------------
 
 def test_update_full_overwrite_no_bootstrap():
-    q = QTable(ACTIONS)
-    update_q_values(q, "s", "up", 5.0, "t", 1.0, 0.0)
+    q = {}
+    update_q_values(q, ACTIONS, "s", "up", 5.0, "t", 1.0, 0.0)
     assert q["s"][0] == 5.0
 
 
 def test_update_direct_substitution():
-    q = QTable(ACTIONS)
-    update_q_values(q, "t", "up", 0.0, "u", 1.0, 0.0)
+    q = {}
+    update_q_values(q, ACTIONS, "t", "up", 0.0, "u", 1.0, 0.0)
     q["t"][0] = 2.0  # maxNext = 2
-    update_q_values(q, "s", "up", 1.0, "t", 0.5, 0.9)
+    update_q_values(q, ACTIONS, "s", "up", 1.0, "t", 0.5, 0.9)
     assert q["s"][0] == pytest.approx(0.5 * (1.0 + 0.9 * 2.0))
 
 
 def test_update_unseen_state_behaves_as_zero():
-    q = QTable(ACTIONS)
-    update_q_values(q, "new", "down", 3.0, "unseen", 0.5, 0.99)
+    q = {}
+    update_q_values(q, ACTIONS, "new", "down", 3.0, "unseen", 0.5, 0.99)
     assert q["new"][1] == pytest.approx(0.5 * 3.0)
     assert "unseen" not in q
 
@@ -177,8 +177,8 @@ def _record_episode(env, seed):
 
 
 def test_replay_empty_history_keeps_zeros(beverage_model):
-    q = QTable(("coin", "button"))
-    replay(q, beverage_model, [], 0.1, 0.99)
+    q = {}
+    replay(q, beverage_model, [], ("coin", "button"), 0.1, 0.99)
     assert len(q) == 0
 
 
@@ -186,39 +186,38 @@ def test_replay_matches_online_updates(beverage_model):
     env = make_environment("hot_beverage", seed=77)
     episode = _record_episode(env, seed=3)
 
-    online = QTable(env.actions)
+    online = {}
     tracker = reset_to_initial(beverage_model)
     ext = ExtendedState(episode.initial_obs, tracker.state, tracker.defined)
     for action, r, obs in episode.steps:
         tracker = step_to(tracker, action, obs, beverage_model)
         nxt = ExtendedState(obs, tracker.state, tracker.defined)
-        update_q_values(online, ext, action, r, nxt, 0.1, 0.99)
+        update_q_values(online, env.actions, ext, action, r, nxt, 0.1, 0.99)
         ext = nxt
 
-    replayed = QTable(env.actions)
-    replay(replayed, beverage_model, [episode], 0.1, 0.99)
+    replayed = {}
+    replay(replayed, beverage_model, [episode], env.actions, 0.1, 0.99)
     assert replayed == online
 
 
 def test_replay_is_deterministic(beverage_model):
     env = make_environment("hot_beverage", seed=78)
     history = [_record_episode(env, seed=i) for i in range(10)]
-    q1 = QTable(env.actions)
-    q2 = QTable(env.actions)
-    replay(q1, beverage_model, history, 0.1, 0.99)
-    replay(q2, beverage_model, history, 0.1, 0.99)
+    q1, q2 = {}, {}
+    replay(q1, beverage_model, history, env.actions, 0.1, 0.99)
+    replay(q2, beverage_model, history, env.actions, 0.1, 0.99)
     assert q1 == q2
 
 
 def test_run_episode_learning_matches_replay(beverage_model):
     """The runner's online updates equal a replay of the traces it returns."""
     env = make_environment("hot_beverage", seed=79)
-    agent = TabularAgent(QTable(env.actions), AgentConfig(), beverage_model)
+    agent = TabularAgent(env.actions, AgentConfig(), beverage_model)
     rng = random.Random(4)
     history = [RewardObservationTrace(*run_episode(env, agent, rng, 0.5, (0.1, 0.99)))
                for _ in range(10)]
-    replayed = QTable(env.actions)
-    replay(replayed, beverage_model, history, 0.1, 0.99)
+    replayed = {}
+    replay(replayed, beverage_model, history, env.actions, 0.1, 0.99)
     assert len(agent.q) > 1
     assert agent.q == replayed
 
@@ -284,6 +283,33 @@ def test_train_freeze_keeps_collecting_history():
     assert len(agent.history) == 110
 
 
+@pytest.mark.parametrize("kind", ["poql", "obs_baseline"])
+def test_the_q_table_is_an_exact_dict(tmp_path, kind):
+    """CPython specialises `dict.get` and `d[k] = v` only on exact dicts, so
+    every Q-table an agent holds is a plain `dict`: after training without a
+    relearn, after a relearn, and after a checkpoint reload."""
+    env = make_environment("hot_beverage", seed=21)
+    config = _quick_config(max_episodes=40, bootstrap_episodes=10, update_interval=20,
+                           freeze_after=0, eval_every=40, eval_episodes=5)
+    trainer = train if kind == "poql" else baseline_obs_q
+    agent = trainer(env, config, seed=21)
+    assert agent.relearn_episodes == [] and len(agent.q) > 0
+    assert type(agent.q) is dict
+    if kind == "poql":
+        config = _quick_config(max_episodes=40, bootstrap_episodes=10, update_interval=20,
+                               eval_every=40, eval_episodes=5)
+        agent = train(env, config, seed=21)
+        assert agent.relearn_episodes == [0, 20]
+        assert type(agent.q) is dict
+    exp_config = {"schema_version": 1, "seed": 21, "agent": kind,
+                  "environment": {"name": "hot_beverage"},
+                  "agent_config": dataclasses.asdict(config)}
+    save_checkpoint(tmp_path, agent, exp_config)
+    loaded, _ = load_checkpoint(tmp_path)
+    assert type(loaded.q) is dict
+    assert loaded.q == agent.q
+
+
 # Each example is a whole run, so a failure is reported unshrunk: shrinking
 # one takes minutes.
 @settings(max_examples=8, deadline=None,
@@ -302,7 +328,7 @@ def test_train_matches_the_reference_trainer(name, seed, bootstrap, interval, fr
                          eval_every=100, eval_episodes=10, epsilon_decay_episodes=150)
     agent = train(make_environment(name, seed=seed), config, seed=seed)
     ref = reference_train(make_environment(name, seed=seed), config, seed)
-    assert qtable_rows(agent.q) == qtable_rows(ref.q)
+    assert qtable_rows(agent.q, agent.actions) == qtable_rows(ref.q, agent.actions)
     assert model_to_dict(agent.model) == ref.model
     assert agent.eval_rows == ref.eval_rows
     assert agent.relearn_episodes == ref.relearn_episodes
@@ -555,7 +581,7 @@ def test_recorded_steps_keep_the_sign_of_a_zero_reward(tmp_path, kind):
     if kind == "random":
         agent = RandomAgent(env.actions)
     else:
-        agent = TabularAgent(QTable(env.actions), _quick_config())
+        agent = TabularAgent(env.actions, _quick_config())
     history = [RewardObservationTrace(*run_episode(env, agent, random.Random(0)))
                for _ in range(3)]
     env.reseed(3)

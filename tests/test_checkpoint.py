@@ -11,7 +11,7 @@ from poql.checkpoint import (
     qtable_from_rows,
     qtable_rows,
 )
-from poql.agent import ExtendedState, QTable, update_q_values
+from poql.agent import ExtendedState, update_q_values
 from poql.envs import hot_beverage_world
 from poql.learn import run_ioalergia
 
@@ -38,14 +38,16 @@ def test_exact_belief_model_roundtrip_without_counts(beverage_world):
 
 
 def test_qtable_rows_roundtrip_exact_floats():
-    q = QTable(("coin", "button"))
-    update_q_values(q, ExtendedState("beep", 2, True), "coin", 1.23456789e-3, "x", 0.7, 0.99)
-    update_q_values(q, ExtendedState("beep", 2, False), "button", -7.25, "x", 1.0, 0.0)
-    update_q_values(q, "rawobs", "coin", 3.0, "y", 0.5, 0.9)
-    rows = qtable_rows(q)
+    q, actions = {}, ("coin", "button")
+    update_q_values(q, actions, ExtendedState("beep", 2, True), "coin", 1.23456789e-3, "x",
+                    0.7, 0.99)
+    update_q_values(q, actions, ExtendedState("beep", 2, False), "button", -7.25, "x", 1.0,
+                    0.0)
+    update_q_values(q, actions, "rawobs", "coin", 3.0, "y", 0.5, 0.9)
+    rows = qtable_rows(q, actions)
     assert all(len(r.split(",")) == 5 for r in rows)
-    back = qtable_from_rows(rows, ("coin", "button"))
-    assert back == q
+    back = qtable_from_rows(rows, actions)
+    assert back == q and type(back) is dict
 
 
 _names = st.text(alphabet=string.ascii_letters + string.digits + "_-.", min_size=1, max_size=4)
@@ -58,7 +60,8 @@ _values = st.one_of(
 
 @st.composite
 def _qtables(draw):
-    """Q-tables over extended and raw-observation keys with extreme values."""
+    """(Q-table, actions) over extended and raw-observation keys with extreme
+    values."""
     actions = tuple(draw(st.lists(_names, min_size=1, max_size=4, unique=True)))
     keys = st.one_of(
         st.builds(ExtendedState, _names, st.integers(-10**9, 10**9), st.booleans()),
@@ -66,18 +69,17 @@ def _qtables(draw):
     )
     rows = draw(st.dictionaries(keys, st.lists(_values, min_size=len(actions),
                                                max_size=len(actions)), max_size=6))
-    q = QTable(actions)
-    q.update(rows)
-    return q
+    return rows, actions
 
 
 @given(_qtables())
-def test_qtable_rows_roundtrip_property(q):
-    rows = qtable_rows(q)
-    back = qtable_from_rows(rows, q.actions)
+def test_qtable_rows_roundtrip_property(case):
+    q, actions = case
+    rows = qtable_rows(q, actions)
+    back = qtable_from_rows(rows, actions)
     assert {k: list(map(repr, v)) for k, v in back.items()} == {
         k: list(map(repr, v)) for k, v in q.items()}
-    assert qtable_rows(back) == rows
+    assert qtable_rows(back, actions) == rows
 
 
 def test_qtable_from_rows_skips_comments_and_numbers_bad_rows():
@@ -85,6 +87,16 @@ def test_qtable_from_rows_skips_comments_and_numbers_bad_rows():
     with pytest.raises(ValueError, match=r"^4: malformed Q-table row 'rawobs,-,-,tea,1.0'$"):
         qtable_from_rows(rows, ("coin", "button"))
     assert qtable_from_rows(rows[:3], ("coin", "button")) == {"rawobs": [3.0, 0.0]}
+
+
+def test_qtable_from_rows_refuses_a_second_row_for_one_key_and_action():
+    rows = ["beep,2,T,coin,1.0", "beep,2,U,coin,2.0", "rawobs,-,-,coin,3.0",
+            "beep,2,T,button,4.0", "beep,2,T,coin,5.0"]
+    with pytest.raises(ValueError, match=r"^5: duplicate Q-table row 'beep,2,T,coin,5.0'$"):
+        qtable_from_rows(rows, ("coin", "button"))
+    assert qtable_from_rows(rows[:4], ("coin", "button")) == {
+        ExtendedState("beep", 2, True): [1.0, 4.0],
+        ExtendedState("beep", 2, False): [2.0, 0.0], "rawobs": [3.0, 0.0]}
 
 
 def test_config_hash_ignores_output_dir_only():

@@ -436,6 +436,15 @@ def test_eval_reports_malformed_qtable_line(beverage_run, tmp_path, capsys):
         f"{ckpt / 'qtable.txt'}:3: malformed Q-table row 'garbage line'")
 
 
+def test_eval_reports_a_second_row_for_one_key_and_action(beverage_run, tmp_path, capsys):
+    ckpt = _checkpoint_copy(beverage_run, tmp_path)
+    lines = (ckpt / "qtable.txt").read_text().splitlines()
+    copy = ",".join([*lines[1].split(",")[:4], "123.5"])
+    (ckpt / "qtable.txt").write_text("\n".join([*lines, copy]) + "\n")
+    assert _eval_error(ckpt, capsys) == (
+        f"{ckpt / 'qtable.txt'}:{len(lines) + 1}: duplicate Q-table row {copy!r}")
+
+
 def test_eval_reports_model_without_states(beverage_run, tmp_path, capsys):
     ckpt = _checkpoint_copy(beverage_run, tmp_path)
     model = json.loads((ckpt / "model.json").read_text())
@@ -882,7 +891,7 @@ def test_load_checkpoint_takes_the_environments_actions(tmp_path, agent):
     loaded, _ = load_checkpoint(out)
     env = make_environment("gravity")
     assert env.actions == ("up", "down", "left", "right")
-    assert loaded.actions == loaded.q.actions == env.actions
+    assert loaded.actions == env.actions
     assert (loaded.model is None) == (agent == "obs_baseline")
 
 

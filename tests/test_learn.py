@@ -8,7 +8,8 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from poql.agent import QTable, RandomAgent, replay, run_episode
+from poql.agent import RandomAgent, replay, run_episode
+from poql.beliefs import build_belief_mdp
 from poql.checkpoint import model_to_dict
 from poql.envs import ENVIRONMENT_NAMES, hot_beverage_world, make_environment
 import poql.learn
@@ -24,6 +25,7 @@ from poql.learn import (
     run_ioalergia,
 )
 from poql.models import (
+    ExtendedState,
     RewardObservationTrace,
     label_determinism_violations,
     read_trace_file,
@@ -812,13 +814,50 @@ def test_step_to_matches_a_walk_over_trans_and_label(case):
     assert undefined > 0
 
 
+def _assert_one_key_per_state(model, history=()):
+    """Every defined `step_to` into state s returns one object, equal to
+    ExtendedState(label[s], s, True); for the initial state that object is
+    `reset_to_initial(model)`. Each transition is stepped from a fresh key
+    equal to its source's, then each episode of `history` from the start."""
+    keys = {model.initial: reset_to_initial(model)}
+
+    def check(key):
+        if key.defined:
+            assert keys.setdefault(key.state, key) is key
+            assert key == ExtendedState(model.label[key.state], key.state, True)
+
+    check(keys[model.initial])
+    for (s, a), dist in model.trans.items():
+        for succ, p in dist.items():
+            if p > 0:
+                key = ExtendedState(model.label[s], s, True)
+                nxt = step_to(key, a, model.label[succ], model)
+                assert nxt.defined
+                check(nxt)
+    for episode in history:
+        key = reset_to_initial(model)
+        for action, _, obs in episode.steps:
+            key = step_to(key, action, obs, model)
+            check(key)
+
+
+def test_step_to_shares_one_key_per_belief_model_state(beverage_world):
+    _assert_one_key_per_state(build_belief_mdp(beverage_world.pomdp).model)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_model_and_history())
+def test_step_to_shares_one_key_per_learned_model_state(case):
+    _assert_one_key_per_state(*case)
+
+
 @settings(max_examples=100, deadline=None)
 @given(case=_model_and_history(), alpha=st.sampled_from([0.1, 0.5, 1.0]),
        gamma=st.sampled_from([0.0, 0.9, 0.99]))
 def test_replay_matches_a_replay_that_builds_every_key(case, alpha, gamma):
     model, history = case
     actions = ("x", "y", "z")
-    fast, reference = QTable(actions), QTable(actions)
-    replay(fast, model, history, alpha, gamma)
-    reference_replay(reference, model, history, alpha, gamma)
+    fast, reference = {}, {}
+    replay(fast, model, history, actions, alpha, gamma)
+    reference_replay(reference, model, history, actions, alpha, gamma)
     assert list(fast.items()) == list(reference.items())
