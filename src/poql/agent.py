@@ -47,24 +47,47 @@ def randbelow(n: int, rng: random.Random) -> int:
     return r
 
 
+def greedy_choice(row: list[float] | None, n: int) -> int | Sequence[int]:
+    """The greedy pick of a row of n action values: the index of its unique
+    maximum, else the list of indices tied at the maximum, or range(n) for
+    an absent row (every value 0).
+
+    NaN is the maximum only at the front of a row; `list.count` finds it by
+    identity, so its index is returned. If that object repeats, no value
+    equals it and ValueError is raised.
+    """
+    if row is None:
+        return range(n)
+    best = max(row)
+    if row.count(best) == 1:
+        return row.index(best)
+    ties = [i for i, v in enumerate(row) if v == best]
+    if not ties:
+        raise ValueError(f"no action value equals the row maximum {best!r}")
+    return ties
+
+
 def get_action(
-    q: dict, state, epsilon: float, actions: Sequence[str], rng: random.Random
+    q: dict, state, epsilon: float, actions: Sequence[str], rng: random.Random,
+    greedy: dict | None = None,
 ) -> str:
     """Epsilon-greedy action choice with uniform tie-breaking among maxima.
 
-    NaN is the maximum only at the front of a row; `list.count` finds it by
-    identity, so its action is picked (ValueError if that object repeats).
+    The greedy pick is `greedy_choice` of the state's row; a tie draws one
+    of the tied indices at every call. `greedy`, when given, memoizes that
+    pick per state, so it is valid only while `q` is not written.
     """
     if epsilon > 0.0 and rng.random() < epsilon:
         return actions[randbelow(len(actions), rng)]
-    row = q.get(state)
-    if row is None:
-        return actions[randbelow(len(actions), rng)]
-    best = max(row)
-    if row.count(best) == 1:
-        return actions[row.index(best)]
-    ties = [i for i, v in enumerate(row) if v == best]
-    return actions[ties[randbelow(len(ties), rng)]]
+    if greedy is None:
+        choice = greedy_choice(q.get(state), len(actions))
+    else:
+        choice = greedy.get(state)
+        if choice is None:
+            choice = greedy[state] = greedy_choice(q.get(state), len(actions))
+    if type(choice) is int:
+        return actions[choice]
+    return actions[choice[randbelow(len(choice), rng)]]
 
 
 def update_q_values(
@@ -241,6 +264,7 @@ def run_episode(
     epsilon: float = 0.0,
     learn: tuple[float, float] | None = None,
     discount: float | None = None,
+    greedy: dict | None = None,
 ) -> tuple[str, float, tuple[tuple[str, float, str], ...]] | float:
     """Play one episode and return (initial obs, initial reward, steps).
 
@@ -255,12 +279,17 @@ def run_episode(
     object (identity, not equality, so 0.0 and -0.0 never share). With
     discount=gamma no steps are recorded, and the result is the discounted
     return of the step rewards, summed as `total += factor * r; factor *=
-    gamma` from total 0.0 and factor 1.0.
+    gamma` from total 0.0 and factor 1.0. `greedy` is a memo of greedy
+    picks that `get_action` fills (see there); it needs a Q-table that does
+    not change, so with learn it raises ValueError before the environment is
+    reset. A fixed policy ignores it.
     """
     tabular = isinstance(agent, TabularAgent)
     if learn is not None:
         if not tabular:
             raise TypeError(f"learn needs a TabularAgent, got {type(agent).__name__}")
+        if greedy is not None:
+            raise ValueError("a greedy memo needs a Q-table that learn does not write")
         alpha, gamma = learn
     obs, reward = env.reset()
     step = env.step
@@ -277,7 +306,7 @@ def run_episode(
         model = agent.model
         key = obs if model is None else reset_to_initial(model)
         while not done:
-            action = get_action(q, key, epsilon, actions, rng)
+            action = get_action(q, key, epsilon, actions, rng, greedy)
             new_obs, r, done = step(action)
             nxt = new_obs if model is None else step_to(key, action, new_obs, model)
             if learn is not None:
@@ -317,7 +346,8 @@ def evaluate(agent, env: Environment, n_episodes: int, seed: int | str) -> EvalS
     to the closest integer (None when no episode reached the goal). Each
     episode's return is summed by `run_episode` itself (discount=agent.gamma)
     as the rewards after the initial one are played; gamma must lie in
-    [0, 1].
+    [0, 1]. The Q-table is not written, so one memo of greedy picks serves
+    every episode of the call.
     """
     if n_episodes < 1:
         raise ValueError("n_episodes must be at least 1")
@@ -328,8 +358,9 @@ def evaluate(agent, env: Environment, n_episodes: int, seed: int | str) -> EvalS
     rng = random.Random(f"{seed}|ties")
     success_steps: list[int] = []
     returns: list[float] = []
+    greedy: dict = {}
     for _ in range(n_episodes):
-        returns.append(run_episode(env, agent, rng, discount=gamma))
+        returns.append(run_episode(env, agent, rng, discount=gamma, greedy=greedy))
         if env.goal_reached:
             success_steps.append(env.step_count)
     successes = len(success_steps)

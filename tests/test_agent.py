@@ -1,11 +1,15 @@
 import copy
 import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 import poql.agent as agent_mod
 from poql.agent import (
@@ -105,16 +109,50 @@ _Q_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
 
 @settings(max_examples=300)
 @given(row=st.lists(_Q_VALUES, min_size=4, max_size=4), epsilon=st.sampled_from([0.0, 1.0]),
-       seed=st.integers(0, 2**32), known=st.booleans())
-def test_get_action_matches_the_tie_list_rule(row, epsilon, seed, known):
+       seed=st.integers(0, 2**32), known=st.booleans(), memo=st.booleans())
+@example(row=[0.0, -0.0, -1.0, 0.0], epsilon=0.0, seed=3, known=True, memo=True)
+@example(row=[-0.0, 0.0, 2.0, 2.0], epsilon=0.0, seed=4, known=True, memo=True)
+def test_get_action_matches_the_tie_list_rule(row, epsilon, seed, known, memo):
+    """Draws for a row and for an absent key match the reference, with or
+    without one memo of greedy picks shared by every draw."""
     q = {}
     if known:
         q["s"] = row
+    greedy = {} if memo else None
     fast, reference = random.Random(seed), random.Random(seed)
     for _ in range(3):
-        assert (get_action(q, "s", epsilon, ACTIONS, fast)
-                == _reference_get_action(q, "s", epsilon, ACTIONS, reference))
-        assert fast.getstate() == reference.getstate()
+        for state in ("s", "absent"):
+            assert (get_action(q, state, epsilon, ACTIONS, fast, greedy)
+                    == _reference_get_action(q, state, epsilon, ACTIONS, reference))
+            assert fast.getstate() == reference.getstate()
+
+
+_REPEATED_NAN = """
+import random
+from poql.agent import get_action
+nan = float("nan")
+for memo in ((), ({},)):
+    try:
+        get_action({"s": [nan, nan, 0.0, 0.0]}, "s", 0.0, "abcd", random.Random(0), *memo)
+    except ValueError:
+        continue
+    raise SystemExit("no ValueError")
+"""
+
+
+def test_get_action_picks_a_leading_nan_and_refuses_a_repeated_one():
+    """NaN is the maximum only at the front of a row. An object that repeats
+    leaves no tied value, which raises ValueError (run in a child process, so
+    that a draw from no ties fails the test instead of hanging it); alone it
+    is picked."""
+    env = dict(os.environ, PYTHONPATH=str(Path(agent_mod.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", _REPEATED_NAN], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stdout + done.stderr
+    nan = float("nan")
+    for memo in ((), ({},)):
+        for row in ([nan, 1.0, 2.0, 0.0], [nan, 1.0, float("nan"), 0.0]):
+            assert get_action({"s": row}, "s", 0.0, ACTIONS, random.Random(0), *memo) == "up"
 
 
 @settings(max_examples=200)
@@ -612,6 +650,15 @@ def test_run_episode_refuses_learn_for_a_fixed_policy(policy):
     the episode starts."""
     with pytest.raises(TypeError, match="learn needs a TabularAgent"):
         run_episode(_UnresetEnvironment(), policy, random.Random(0), learn=(0.1, 0.99))
+
+
+def test_run_episode_refuses_a_greedy_memo_with_learn():
+    """A memo of greedy picks holds only while the Q-table is not written, so
+    learn refuses one before the episode starts."""
+    agent = TabularAgent(ACTIONS, AgentConfig())
+    with pytest.raises(ValueError, match="greedy memo"):
+        run_episode(_UnresetEnvironment(), agent, random.Random(0), learn=(0.1, 0.99),
+                    greedy={})
 
 
 # ---------------------------------------------------------------------------

@@ -265,14 +265,20 @@ def _random_episodes(env, n, seed):
 
 
 def _assert_sample_replays(traces, model):
-    mass = sum(c for counts in model.counts.values() for c in counts.values())
-    assert mass == sum(len(steps) for _, steps in traces)
+    """Every trace of the sample stays defined on the model, and the model's
+    edge counts are exactly the (state, action, successor) steps those walks
+    take."""
+    walked: dict = {}
     for init, steps in traces:
         assert model.label[model.initial] == init
         tracker = reset_to_initial(model)
         for action, obs in steps:
-            tracker = step_to(tracker, action, obs, model)
-        assert tracker.defined
+            nxt = step_to(tracker, action, obs, model)
+            assert nxt.defined
+            row = walked.setdefault((tracker.state, action), {})
+            row[nxt.state] = row.get(nxt.state, 0) + 1
+            tracker = nxt
+    assert walked == {key: dict(row) for key, row in model.counts.items()}
 
 
 # sha256 of json.dumps(model_to_dict(model), sort_keys=True) for 300 random
