@@ -17,12 +17,12 @@ A training run is strictly sequential; runs with distinct seeds share nothing.
 
 from __future__ import annotations
 
+import _random
 import math
-import random
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .envs import Environment
+from .envs import Environment, seeded_generator
 from .learn import LearnerConfig, observation_traces, run_ioalergia
 from .models import (
     DeterministicLabeledMdp,
@@ -33,12 +33,14 @@ from .models import (
 )
 
 
-def randbelow(n: int, rng: random.Random) -> int:
+def randbelow(n: int, rng: _random.Random) -> int:
     """`rng.randrange(n)` for an integer n >= 1, from the same draws.
 
     This is the rejection loop that `random.Random.randrange(n)` runs, without
     its argument checks and the two calls around it, so a seeded generator
-    gives the same values and ends in the same state.
+    gives the same values and ends in the same state. It reads only
+    `getrandbits`, so the package's exact-type generators (see
+    `seeded_generator`) serve as well as `random.Random`.
     """
     k = n.bit_length()
     r = rng.getrandbits(k)
@@ -68,7 +70,7 @@ def greedy_choice(row: list[float] | None, n: int) -> int | Sequence[int]:
 
 
 def get_action(
-    q: dict, state, epsilon: float, actions: Sequence[str], rng: random.Random,
+    q: dict, state, epsilon: float, actions: Sequence[str], rng: _random.Random,
     greedy: dict | None = None,
 ) -> str:
     """Epsilon-greedy action choice with uniform tie-breaking among maxima.
@@ -173,6 +175,16 @@ class AgentConfig:
                      "eval_every", "eval_episodes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        for name in ("freeze_after", "epsilon_decay_episodes"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be at least 0, got {value}")
+        for name in ("epsilon_start", "epsilon_end"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
+        if self.oracle_steps is not None and self.oracle_steps <= 0:
+            raise ValueError(f"oracle_steps must be above 0, got {self.oracle_steps}")
         if self.freeze_after is not None and self.freeze_after > self.max_episodes:
             raise ValueError("freeze_after cannot exceed max_episodes")
         LearnerConfig(eps_al=self.eps_al)  # raises on an eps_al outside (0, 1]
@@ -253,14 +265,14 @@ class RandomAgent:
         self.actions = tuple(actions)
         self.gamma = gamma
 
-    def choose(self, obs: str, rng: random.Random) -> str:
+    def choose(self, obs: str, rng: _random.Random) -> str:
         return self.actions[randbelow(len(self.actions), rng)]
 
 
 def run_episode(
     env: Environment,
     agent,
-    rng: random.Random,
+    rng: _random.Random,
     epsilon: float = 0.0,
     learn: tuple[float, float] | None = None,
     discount: float | None = None,
@@ -355,12 +367,14 @@ def evaluate(agent, env: Environment, n_episodes: int, seed: int | str) -> EvalS
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
     env.reseed(f"{seed}|env")
-    rng = random.Random(f"{seed}|ties")
+    rng = seeded_generator(f"{seed}|ties")
     success_steps: list[int] = []
-    returns: list[float] = []
+    # Summed left to right from 0.0: `sum` of floats rounds otherwise from
+    # Python 3.12 on, which would change the reported mean.
+    total_return = 0.0
     greedy: dict = {}
     for _ in range(n_episodes):
-        returns.append(run_episode(env, agent, rng, discount=gamma, greedy=greedy))
+        total_return += run_episode(env, agent, rng, discount=gamma, greedy=greedy)
         if env.goal_reached:
             success_steps.append(env.step_count)
     successes = len(success_steps)
@@ -368,7 +382,7 @@ def evaluate(agent, env: Environment, n_episodes: int, seed: int | str) -> EvalS
     return EvalStats(
         goal_rate=successes / n_episodes,
         mean_steps=round_steps(exact) if exact is not None else None,
-        mean_return=sum(returns) / n_episodes,
+        mean_return=total_return / n_episodes,
         mean_steps_exact=exact,
     )
 
@@ -394,7 +408,7 @@ def _learn_model(
 def _train_loop(
     env: Environment,
     agent: TabularAgent,
-    rng: random.Random,
+    rng: _random.Random,
     seed: int | str,
     log: Callable[[str], None] | None,
 ) -> TabularAgent:
@@ -439,7 +453,7 @@ def train(
     into it. Training stops early once a periodic greedy evaluation meets the
     configured target.
     """
-    rng = random.Random(f"{seed}|agent")
+    rng = seeded_generator(f"{seed}|agent")
     explorer = RandomAgent(env.actions)
     history = [
         RewardObservationTrace(*run_episode(env, explorer, rng))
@@ -458,7 +472,7 @@ def baseline_obs_q(
 ) -> TabularAgent:
     """Train the observation-only baseline: the same loop keyed by raw
     observations, with no learned model, tracker, or replay."""
-    rng = random.Random(f"{seed}|agent")
+    rng = seeded_generator(f"{seed}|agent")
     return _train_loop(env, TabularAgent(env.actions, config), rng, seed, log)
 
 

@@ -13,6 +13,7 @@ concurrently.
 
 from __future__ import annotations
 
+import _random
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -397,6 +398,20 @@ def thinmaze_world() -> World:
     return grid_pomdp(_thinmaze_spec(), bump_obs="wall")
 
 
+def seeded_generator(seed: int | str) -> _random.Random:
+    """A generator of the exact C type `_random.Random` whose Mersenne Twister
+    state is that of `random.Random(seed)`.
+
+    Its `random()` and `getrandbits(k)` give the same draws as that
+    generator's, string seeds included, and its calls skip the Python
+    subclass that `random.Random` adds, which CPython's call specialisation
+    does not cover.
+    """
+    rng = _random.Random(0)
+    rng.setstate(random.Random(seed).getstate()[1])
+    return rng
+
+
 def _state_rows(pomdp: Pomdp) -> dict[int, tuple]:
     """One row per state: what entering it yields, its successor samplers and
     its id, as (observation, reward, goal, samplers, state).
@@ -404,7 +419,8 @@ def _state_rows(pomdp: Pomdp) -> dict[int, tuple]:
     A sampler, per action of the model and no other, holds cumulative
     successor probabilities, the last pinned to 1.0, and the successors' rows
     in sorted state order. The successor for a uniform draw r is the first
-    whose cumulative probability exceeds r.
+    whose cumulative probability exceeds r. With a single successor, which
+    every draw picks, the sampler is (None, its row) instead.
     """
     mdp = pomdp.mdp
     rows = {state: (pomdp.obs(state), pomdp.reward(state),
@@ -420,7 +436,10 @@ def _state_rows(pomdp: Pomdp) -> dict[int, tuple]:
                 cum.append(acc)
                 succs.append(rows[succ])
             cum[-1] = 1.0
-            row[3][action] = (tuple(cum), tuple(succs))
+            if len(succs) > 1:
+                row[3][action] = (tuple(cum), tuple(succs))
+            else:
+                row[3][action] = (None, succs[0])
     return rows
 
 
@@ -453,13 +472,13 @@ class Environment:
         self.max_steps = max_steps
         self.actions = pomdp.mdp.actions
         self._initial = _state_rows(pomdp)[pomdp.mdp.initial]
-        self._rng = random.Random(seed)
+        self._rng = seeded_generator(seed)
         self._row: tuple | None = None  # the hidden state's row
         self._steps = 0
         self._done = True
 
     def reseed(self, seed: int | str) -> None:
-        self._rng = random.Random(seed)
+        self._rng = seeded_generator(seed)
 
     def reset(self) -> tuple[str, float]:
         """Start a new episode; returns the initial observation and reward."""
@@ -475,8 +494,12 @@ class Environment:
         sampler = self._row[3].get(action)  # None: unknown action
         if sampler is None:
             raise ValueError(f"unknown action {action!r}")
-        cum, rows = sampler
-        row = self._row = rows[bisect_right(cum, self._rng.random())]
+        # One uniform draw per step, bisected only among several successors.
+        cum, row = sampler
+        r = self._rng.random()
+        if cum is not None:
+            row = row[bisect_right(cum, r)]
+        self._row = row
         self._steps += 1
         self._done = done = row[2] or self._steps >= self.max_steps
         return row[0], row[1], done

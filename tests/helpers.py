@@ -348,10 +348,13 @@ def reference_evaluate(agent, env: Environment, n_episodes: int, seed) -> EvalSt
             success_steps.append(env.step_count)
         returns.append(discounted_return(rewards(trace), 0, agent.gamma))
     exact = sum(success_steps) / len(success_steps) if success_steps else None
+    total_return = 0.0  # left to right, as `sum` of floats no longer does on 3.12+
+    for ret in returns:
+        total_return += ret
     return EvalStats(
         goal_rate=len(success_steps) / n_episodes,
         mean_steps=round_steps(exact) if exact is not None else None,
-        mean_return=sum(returns) / n_episodes,
+        mean_return=total_return / n_episodes,
         mean_steps_exact=exact,
     )
 

@@ -1,3 +1,4 @@
+import _random
 import copy
 import dataclasses
 import math
@@ -312,6 +313,26 @@ def test_train_one_tracker_advance_per_step(monkeypatch):
     assert calls == online_steps
 
 
+@pytest.mark.parametrize("trainer", [train, baseline_obs_q])
+def test_every_episode_draws_on_the_exact_generator_type(monkeypatch, trainer):
+    """`train`, `baseline_obs_q` and `evaluate` hand `run_episode` generators
+    of the exact C type, and so does the environment draw on one."""
+    seen = Counter()
+    real_run_episode = agent_mod.run_episode
+
+    def spying(env, agent, rng, *args, **kwargs):
+        seen[type(rng), type(env._rng), "discount" in kwargs] += 1
+        return real_run_episode(env, agent, rng, *args, **kwargs)
+
+    monkeypatch.setattr(agent_mod, "run_episode", spying)
+    config = _quick_config(max_episodes=20, bootstrap_episodes=5, update_interval=10,
+                           eval_every=10, eval_episodes=3, target_goal_rate=2.0)
+    trainer(make_environment("hot_beverage", seed=5), config, seed=5)
+    exact = _random.Random
+    boot = 5 if trainer is train else 0
+    assert seen == {(exact, exact, False): boot + 20, (exact, exact, True): 2 * 3}
+
+
 def test_train_freeze_keeps_collecting_history():
     env = make_environment("hot_beverage", seed=13)
     config = _quick_config(max_episodes=100, freeze_after=0, target_goal_rate=2.0,
@@ -401,9 +422,14 @@ def test_config_validation():
     with pytest.raises(ValueError):
         AgentConfig(freeze_after=50, max_episodes=40)
     for bad in ({"eval_every": 0}, {"eval_episodes": 0}, {"eps_al": 0.0}, {"eps_al": 1.5},
-                {"max_episodes": 0}, {"max_episodes": -5}):
+                {"max_episodes": 0}, {"max_episodes": -5}, {"epsilon_start": 1.5},
+                {"epsilon_end": -0.2}, {"freeze_after": -3},
+                {"epsilon_decay_episodes": -10}, {"oracle_steps": -1.0}):
         with pytest.raises(ValueError):
             AgentConfig(**bad)
+    # Edge values stay legal; a goal rate above 1 means "never stop early".
+    AgentConfig(epsilon_start=0.0, epsilon_end=1.0, freeze_after=0,
+                epsilon_decay_episodes=0, target_goal_rate=2.0)
 
 
 def test_config_default_episode_budget():

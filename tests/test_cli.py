@@ -126,6 +126,15 @@ def test_train_rejects_max_steps_below_one_or_not_an_integer(tmp_path, capsys, m
     pytest.param("poql", {"eps_al": 1.5}, id="eps_al-1.5"),
     pytest.param("poql", {"max_episodes": 0}, id="max_episodes-0"),
     pytest.param("poql", {"max_episodes": -5}, id="max_episodes-negative"),
+    pytest.param("poql", {"epsilon_start": 1.5}, id="epsilon_start-1.5"),
+    pytest.param("poql", {"epsilon_start": -0.1}, id="epsilon_start-negative"),
+    pytest.param("obs_baseline", {"epsilon_end": -0.2}, id="epsilon_end-negative"),
+    pytest.param("poql", {"epsilon_end": 1.01}, id="epsilon_end-above-1"),
+    pytest.param("poql", {"freeze_after": -3}, id="freeze_after-negative"),
+    pytest.param("poql", {"epsilon_decay_episodes": -10},
+                 id="epsilon_decay_episodes-negative"),
+    pytest.param("poql", {"oracle_steps": -1.0}, id="oracle_steps-negative"),
+    pytest.param("poql", {"oracle_steps": 0}, id="oracle_steps-0"),
 ])
 def test_invalid_agent_config_rejected(tmp_path, capsys, agent, bad):
     cfg = _config(tmp_path / "nope", agent=agent, **bad)

@@ -1,3 +1,4 @@
+import _random
 import random
 from bisect import bisect_right
 from collections import Counter
@@ -17,6 +18,7 @@ from poql.envs import (
     gravity_world,
     make_environment,
     officeworld_world,
+    seeded_generator,
     thinmaze_world,
 )
 
@@ -159,7 +161,7 @@ def test_step_matches_the_pomdp_read_directly(name, seed, max_steps):
             done = goal or steps >= max_steps
             assert env.step(action) == (pomdp.obs_fn[state], pomdp.reward_fn.get(state, 0.0), done)
             assert (env.goal_reached, env.step_count) == (goal, steps)
-            assert env._rng.getstate() == draws.getstate()
+            assert env._rng.getstate() == draws.getstate()[1]
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +315,13 @@ def test_step_draws_the_successors_of_a_bisect_walk_over_delta(name, params):
             state = mdp.initial
             assert env._row[-1] == state
     assert walked == expected
-    assert env._rng.getstate() == draws.getstate()
+    assert env._rng.getstate() == draws.getstate()[1]
 
     with pytest.raises(ValueError, match="unknown action 'kick'"):
         env.step("kick")
     with pytest.raises(TypeError):
         env.step(["up"])
-    assert env._rng.getstate() == draws.getstate()
+    assert env._rng.getstate() == draws.getstate()[1]
     env = make_environment(name, seed=11, max_steps=1, **params)
     with pytest.raises(EpisodeProtocolError):
         env.step(env.actions[0])
@@ -409,6 +411,22 @@ def test_sample_pomdp_traces_ignores_goals(beverage_world):
     assert any(
         "tea" in [o for _, o in steps[:-1]] for _, steps in traces
     )  # walks continue past the goal observation
+
+
+@given(seed=st.one_of(st.integers(-2**70, 2**70), st.text(max_size=12)),
+       calls=st.lists(st.one_of(st.none(), st.integers(1, 70)), max_size=40))
+def test_seeded_generator_draws_what_random_random_draws(seed, calls):
+    """The exact-type generator continues `random.Random(seed)`'s stream: the
+    same `random()` (None) and `getrandbits(k)` values, and the same state
+    at the end."""
+    fast, reference = seeded_generator(seed), random.Random(seed)
+    assert type(fast) is _random.Random
+    for k in calls:
+        if k is None:
+            assert fast.random() == reference.random()
+        else:
+            assert fast.getrandbits(k) == reference.getrandbits(k)
+    assert fast.getstate() == reference.getstate()[1]
 
 
 def test_environment_reseed_replays_episode():
