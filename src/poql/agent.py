@@ -280,26 +280,33 @@ def run_episode(
 ) -> tuple[str, float, tuple[tuple[str, float, str], ...]] | float:
     """Play one episode and return (initial obs, initial reward, steps).
 
-    A TabularAgent's step calls `get_action` for its current key, steps the
-    environment, and takes the next key from `step_to` on its model (without
-    a model, as the baseline, the raw observation is the key). With
-    learn=(alpha, gamma) every step also backs up agent.q. Any other agent
-    is a fixed policy: each step plays agent.choose(latest observation,
-    rng), and learn raises TypeError before the environment is reset. The
-    result unpacks into a RewardObservationTrace; recorded steps with the
-    same action and observation share one tuple while their rewards are one
-    object (identity, not equality, so 0.0 and -0.0 never share). With
-    discount=gamma no steps are recorded, and the result is the discounted
-    return of the step rewards, summed as `total += factor * r; factor *=
-    gamma` from total 0.0 and factor 1.0. `greedy` is a memo of greedy
-    picks that `get_action` fills (see there); it needs a Q-table that does
-    not change, so with learn it raises ValueError before the environment is
-    reset. A fixed policy ignores it.
+    Each step picks an action for the key, steps the environment and moves
+    the key. A TabularAgent picks by `get_action` on agent.q, keyed by its
+    tracker (`step_to` on its model) or, without a model, by the latest
+    observation; learn=(alpha, gamma) also backs up agent.q at every step.
+    Any other agent is a fixed policy keyed like the baseline that plays
+    agent.choose(key, rng); learn then raises TypeError before the
+    environment is reset. The result unpacks into a RewardObservationTrace;
+    recorded steps with the same action and observation share one tuple
+    while their rewards are one object (identity, not equality, so 0.0 and
+    -0.0 never share). With discount=gamma no steps are recorded, and the
+    result is the discounted return of the step rewards, summed as `total
+    += factor * r; factor *= gamma` from total 0.0 and factor 1.0. `greedy`
+    is a memo of greedy picks that `get_action` fills (see there); it needs
+    a Q-table that does not change, so with learn it raises ValueError
+    before the environment is reset. A fixed policy ignores it.
     """
-    tabular = isinstance(agent, TabularAgent)
+    if isinstance(agent, TabularAgent):
+        q, actions, model, select = agent.q, agent.actions, agent.model, get_action
+    elif learn is not None:
+        raise TypeError(f"learn needs a TabularAgent, got {type(agent).__name__}")
+    else:
+        q = actions = model = None
+        choose = agent.choose
+
+        def select(q, key, epsilon, actions, rng, greedy):
+            return choose(key, rng)
     if learn is not None:
-        if not tabular:
-            raise TypeError(f"learn needs a TabularAgent, got {type(agent).__name__}")
         if greedy is not None:
             raise ValueError("a greedy memo needs a Q-table that learn does not write")
         alpha, gamma = learn
@@ -312,40 +319,22 @@ def run_episode(
     total = 0.0
     factor = 1.0
     done = False
-    if tabular:
-        q = agent.q
-        actions = agent.actions
-        model = agent.model
-        key = obs if model is None else reset_to_initial(model)
-        while not done:
-            action = get_action(q, key, epsilon, actions, rng, greedy)
-            new_obs, r, done = step(action)
-            nxt = new_obs if model is None else step_to(key, action, new_obs, model)
-            if learn is not None:
-                update_q_values(q, actions, key, action, r, nxt, alpha, gamma)
-            if steps is None:
-                total += factor * r
-                factor *= discount
-            else:
-                record = shared.get((action, new_obs))
-                if record is None or record[1] is not r:
-                    record = shared[action, new_obs] = (action, r, new_obs)
-                steps.append(record)
-            key = nxt
-    else:
-        choose = agent.choose
-        new_obs = obs
-        while not done:
-            action = choose(new_obs, rng)
-            new_obs, r, done = step(action)
-            if steps is None:
-                total += factor * r
-                factor *= discount
-            else:
-                record = shared.get((action, new_obs))
-                if record is None or record[1] is not r:
-                    record = shared[action, new_obs] = (action, r, new_obs)
-                steps.append(record)
+    key = obs if model is None else reset_to_initial(model)
+    while not done:
+        action = select(q, key, epsilon, actions, rng, greedy)
+        new_obs, r, done = step(action)
+        nxt = new_obs if model is None else step_to(key, action, new_obs, model)
+        if learn is not None:
+            update_q_values(q, actions, key, action, r, nxt, alpha, gamma)
+        if steps is None:
+            total += factor * r
+            factor *= discount
+        else:
+            record = shared.get((action, new_obs))
+            if record is None or record[1] is not r:
+                record = shared[action, new_obs] = (action, r, new_obs)
+            steps.append(record)
+        key = nxt
     if steps is None:
         return total
     return obs, reward, tuple(steps)

@@ -1,7 +1,7 @@
 """Checkpoint persistence: learned model, Q-table, config echo, and traces.
 
 A checkpoint directory holds:
-  config.json   experiment config echo with its hash
+  config.json   experiment config echo, without output_dir, with its hash
   model.json    exact learned model (integer edge counts), when one exists
   model.dot     rendered model, sorted for byte-stable re-export
   qtable.txt    sorted `obs,state,flag,action,value` records
@@ -207,9 +207,11 @@ def save_checkpoint(path, agent, exp_config: dict) -> None:
     with _writing(out):
         out.mkdir(parents=True, exist_ok=True)
     digest = config_hash(exp_config)
+    # Left out so that every run of one experiment writes the same config.json.
+    echo = {k: v for k, v in exp_config.items() if k != "output_dir"}
     write_text_atomic(
         out / "config.json",
-        json.dumps({"config_hash": digest, **exp_config}, indent=2, sort_keys=True),
+        json.dumps({"config_hash": digest, **echo}, indent=2, sort_keys=True),
     )
     if agent.model is not None:
         write_text_atomic(

@@ -52,7 +52,8 @@ UNWRITTEN_FILES = {
 
 def load_experiment_config(path) -> tuple[dict, Environment]:
     """The experiment config in `path`, its keys checked, and the environment
-    it names, built at its seed. `agent_config` is left to `AgentConfig`."""
+    it names, built at its seed. A key outside the schema is refused;
+    `agent_config`'s own keys are left to `AgentConfig`."""
     raw = read_json_object(path)
     if raw.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(
@@ -62,6 +63,9 @@ def load_experiment_config(path) -> tuple[dict, Environment]:
     missing = required - raw.keys()
     if missing:
         raise ConfigError(f"config missing keys: {sorted(missing)}")
+    unknown = raw.keys() - required - {"agent_config"}
+    if unknown:
+        raise ConfigError(f"config has unknown keys: {sorted(unknown)}")
     if not isinstance(raw["output_dir"], str):
         raise ConfigError(f"output_dir must be a string, got {raw['output_dir']!r}")
     if raw["agent"] not in AGENT_KINDS:

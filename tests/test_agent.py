@@ -687,6 +687,50 @@ def test_run_episode_refuses_a_greedy_memo_with_learn():
                     greedy={})
 
 
+def _count_get_action(monkeypatch) -> list:
+    """Patch `poql.agent.get_action` to log each call's key; return the log."""
+    keys = []
+    real_get_action = agent_mod.get_action
+
+    def counting(q, state, *args):
+        keys.append(state)
+        return real_get_action(q, state, *args)
+
+    monkeypatch.setattr(agent_mod, "get_action", counting)
+    return keys
+
+
+@pytest.mark.parametrize("policy", [RandomAgent(("coin", "button")),
+                                    RepeatActionAgent("coin")], ids=["random", "repeat"])
+def test_a_fixed_policy_episode_calls_no_get_action(monkeypatch, policy):
+    """A fixed policy picks by its own `choose`: no `get_action` call, and a
+    greedy memo stays empty."""
+    keys = _count_get_action(monkeypatch)
+    env = make_environment("hot_beverage", seed=2)
+    greedy = {}
+    _, _, steps = run_episode(env, policy, random.Random(0), 0.5)
+    run_episode(env, policy, random.Random(1), discount=0.9, greedy=greedy)
+    assert steps and keys == [] and greedy == {}
+
+
+@pytest.mark.parametrize("kind", ["poql", "baseline"])
+def test_a_tabular_episode_calls_get_action_once_per_step(monkeypatch, beverage_model,
+                                                          kind):
+    """Learning or greedy, a TabularAgent makes exactly one `get_action`
+    call per step, for the key the step starts from."""
+    keys = _count_get_action(monkeypatch)
+    env = make_environment("hot_beverage", seed=2)
+    model = beverage_model if kind == "poql" else None
+    agent = TabularAgent(env.actions, AgentConfig(), model)
+    rng = random.Random(0)
+    obs, _, steps = run_episode(env, agent, rng, 0.5, (0.1, 0.99))
+    assert len(keys) == len(steps) > 0
+    assert keys[0] == (reset_to_initial(model) if model else obs)
+    del keys[:]
+    run_episode(env, agent, rng, discount=0.9, greedy={})
+    assert len(keys) == env.step_count > 0
+
+
 # ---------------------------------------------------------------------------
 # baseline
 # ---------------------------------------------------------------------------

@@ -211,6 +211,17 @@ def test_unknown_agent_config_key_rejected(tmp_path, capsys):
     assert "learning_rate" in capsys.readouterr().err
 
 
+def test_unknown_top_level_config_key_rejected(tmp_path, capsys):
+    """A misspelled `agent_config` would otherwise run the default schedule."""
+    cfg = _config(tmp_path / "nope", max_episodes=20)
+    cfg["agent_confg"] = cfg.pop("agent_config")
+    cfg["comment"] = "typo"
+    path = _write_config(tmp_path, "typo.json", cfg)
+    assert (_error_line(["train", str(path)], capsys)
+            == "config has unknown keys: ['agent_confg', 'comment']")
+    assert not (tmp_path / "nope").exists()
+
+
 def test_existing_run_needs_force(beverage_run, tmp_path, capsys):
     outdir, cfg = beverage_run
     path = _write_config(tmp_path, "again.json", cfg)
@@ -219,18 +230,19 @@ def test_existing_run_needs_force(beverage_run, tmp_path, capsys):
 
 
 def test_reproducible_runs_are_byte_identical(tmp_path):
+    """Two runs of one experiment in two directories write the same files:
+    config.json leaves out the output directory."""
     cfg_a = _config(tmp_path / "a", max_episodes=200)
     cfg_b = {**_config(tmp_path / "b", max_episodes=200)}
     path_a = _write_config(tmp_path, "a.json", cfg_a)
     path_b = _write_config(tmp_path, "b.json", cfg_b)
     assert main(["train", str(path_a), "--quiet"]) == 0
     assert main(["train", str(path_b), "--quiet"]) == 0
-    traces_a = (tmp_path / "a" / "traces.txt").read_bytes()
-    traces_b = (tmp_path / "b" / "traces.txt").read_bytes()
-    assert traces_a == traces_b
-    rr_a = (tmp_path / "a" / "run_record.csv").read_bytes()
-    rr_b = (tmp_path / "b" / "run_record.csv").read_bytes()
-    assert rr_a == rr_b
+    for name in ("traces.txt", "run_record.csv", "config.json", "model.json",
+                 "model.dot", "qtable.txt"):
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes()), name
+    assert "output_dir" not in json.loads((tmp_path / "a" / "config.json").read_text())
 
 
 def test_eval_on_reloaded_checkpoint_matches_in_process(beverage_run, capsys):
@@ -506,6 +518,20 @@ def test_eval_rejects_config_json_without_config_hash(beverage_run, tmp_path, ca
     ckpt = _checkpoint_copy(beverage_run, tmp_path)
     _set_json_hash(ckpt / "config.json", None)
     assert _eval_error(ckpt, capsys) == f"{ckpt / 'config.json'}: missing key 'config_hash'"
+
+
+def test_eval_accepts_a_config_json_that_carries_output_dir(beverage_run, tmp_path,
+                                                            capsys):
+    """Run directories written while config.json still echoed output_dir
+    load: config_hash never covered that key."""
+    ckpt = _checkpoint_copy(beverage_run, tmp_path)
+    assert main(["eval", str(ckpt), "--episodes", "20", "--seed", "3"]) == 0
+    expected = capsys.readouterr().out
+    config = json.loads((ckpt / "config.json").read_text())
+    config["output_dir"] = str(beverage_run[0])
+    (ckpt / "config.json").write_text(json.dumps(config, indent=2, sort_keys=True))
+    assert main(["eval", str(ckpt), "--episodes", "20", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_eval_reports_config_without_agent(beverage_run, tmp_path, capsys):
