@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from contextlib import contextmanager
+from math import isnan
 from pathlib import Path
 
 from .agent import AgentConfig, TabularAgent
@@ -116,8 +117,8 @@ def qtable_from_rows(lines: list[str], actions: tuple[str, ...]) -> dict:
     """Rebuild a Q-table, with columns in the order of `actions`, from
     `qtable.txt` lines; blank and `#` lines are skipped.
 
-    A malformed row, or a second row for the same key and action, raises
-    ValueError prefixed with its 1-based line number.
+    A malformed row (a NaN value among them), or a second row for the same
+    key and action, raises ValueError prefixed with its 1-based line number.
     """
     q: dict = {}
     seen = set()
@@ -132,6 +133,8 @@ def qtable_from_rows(lines: list[str], actions: tuple[str, ...]) -> dict:
                 key = ExtendedState(obs, int(state), _FLAG_BACK[flag])
             index = actions.index(action)
             number = float(value)
+            if isnan(number):  # training never writes one; infinities round-trip
+                raise ValueError("nan")
         except (KeyError, ValueError) as exc:
             raise ValueError(f"{lineno}: malformed Q-table row {line!r}") from exc
         if (key, index) in seen:

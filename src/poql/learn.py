@@ -195,41 +195,30 @@ def compatible(r: IofptaNode, b: IofptaNode, eps_al: float) -> bool:
     sides. An action seen on one side only passes, and a tail counts n = 1
     at each of its steps. A test runs only where its bound is at most 1,
     because frequencies never differ by more. The second node always lies in
-    an unmerged part of the tree, which bounds the descent.
+    an unmerged part of the tree, which bounds the descent. The node pairs
+    that one path reaches from (r, b) wait on a stack; no test changes
+    either tree, so their order cannot change the result.
     """
     bound_scale = _bound_scale(eps_al)
     if r.label != b.label:
         return False
-    return _compatible(r, b, bound_scale)
-
-
-def _compatible(r: IofptaNode, b: IofptaNode, bound_scale: float) -> bool:
-    # Depth-first over the pairs of nodes reached by the same path from
-    # (r, b), with an explicit stack of child iterators instead of recursion.
-    stack = []
-    while True:
+    pairs = [(r, b)]
+    while pairs:
+        r, b = pairs.pop()
         if r.steps is not None or b.steps is not None:
             # Every tail bound exceeds bound_scale, so from 1 up none can fire.
             if bound_scale < 1.0 and not _tail_compatible(r, b, bound_scale):
                 return False
-        else:
-            if not _node_compatible(r, b, bound_scale):
-                return False
-            stack.append((r.edges, iter(b.edges.items())))
-        while stack:
-            r_edges, b_items = stack[-1]
-            for key, b_edge in b_items:
-                r_edge = r_edges.get(key)
-                # Both children carry the key's observation as their label.
-                if r_edge is not None and r_edge[1] is not b_edge[1]:
-                    r, b = r_edge[1], b_edge[1]
-                    break
-            else:
-                stack.pop()
-                continue
-            break
-        else:
-            return True
+            continue
+        if not _node_compatible(r, b, bound_scale):
+            return False
+        r_edges = r.edges
+        for key, b_edge in b.edges.items():
+            r_edge = r_edges.get(key)
+            # Both children carry the key's observation as their label.
+            if r_edge is not None and r_edge[1] is not b_edge[1]:
+                pairs.append((r_edge[1], b_edge[1]))
+    return True
 
 
 def _node_compatible(r: IofptaNode, b: IofptaNode, bound_scale: float) -> bool:
@@ -307,37 +296,30 @@ def _tail_compatible(r: IofptaNode, b: IofptaNode, bound_scale: float) -> bool:
 def _fold(target: IofptaNode, source: IofptaNode) -> None:
     """Add source's subtree frequencies into target's region of the automaton.
 
-    Matching edges add up and descend; an unmatched edge's record moves over
-    whole, with its subtree. The walk descends the unmerged source tree, so
-    it terminates even though the target region may contain cycles; the
-    source tree is dropped afterwards, so its records may be shared.
+    A stack holds the (target, source) pairs still to fold. A tail source adds
+    its path; otherwise each source edge adds its count to target's matching
+    edge, whose pair of children is pushed, or its record moves over whole,
+    with its subtree. The walk descends the unmerged source tree, so it
+    terminates even though the target region may contain cycles; the source
+    tree is dropped afterwards, so its records may be shared.
     """
-    stack = []
-    while True:
+    pairs = [(target, source)]
+    while pairs:
+        target, source = pairs.pop()
         if source.steps is not None:
             _add_path(target, source.steps, source.pos)
         elif source.edges:
             target.expand()
-            stack.append((target, iter(source.edges.items())))
-        while stack:
-            node, s_items = stack[-1]
-            for key, s_edge in s_items:
-                t_edge = node.edges.get(key)
+            edges, totals = target.edges, target.totals
+            for key, s_edge in source.edges.items():
+                t_edge = edges.get(key)
                 if t_edge is None:
-                    totals = node.totals
                     totals[key[0]] = totals.get(key[0], 0) + s_edge[0]
-                    node.edges[key] = s_edge
+                    edges[key] = s_edge
                 else:
                     t_edge[0] += s_edge[0]
-                    node.totals[key[0]] += s_edge[0]
-                    target, source = t_edge[1], s_edge[1]
-                    break
-            else:
-                stack.pop()
-                continue
-            break
-        else:
-            return
+                    totals[key[0]] += s_edge[0]
+                    pairs.append((t_edge[1], s_edge[1]))
 
 
 def run_ioalergia(
@@ -346,45 +328,39 @@ def run_ioalergia(
     """Learn a deterministic labeled MDP from a multiset of observation traces.
 
     The tree root becomes the initial state. Blue nodes (non-promoted children
-    of promoted states) are processed in passes over the promoted states in
+    of promoted states) are processed in rounds over the promoted states in
     promotion order: each state's blue children go in (action, observation)
-    order, including those that a fold grafts onto it meanwhile, and the
-    passes repeat until no blue node is left. Each blue node is merged into
-    the first compatible promoted state, or promoted itself. The same sample
-    in the same order yields the identical model.
+    order, including those that a fold grafts onto it meanwhile, and the scan
+    wraps around until a full round of states has no blue child. Each blue
+    node is merged into the first compatible promoted state, or promoted
+    itself. The same sample in the same order yields the identical model.
     """
-    tree = build_iofpta(traces)
-    root = tree.root
+    root = build_iofpta(traces).root
     root.red_index = 0
     red: list[IofptaNode] = [root]
 
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i < len(red):
-            node = red[i]
-            edge = _first_blue_edge(node)
-            if edge is None:
-                i += 1
-                continue
-            changed = True
-            blue = edge[1]
-            merged = False
-            for candidate in red:
-                if candidate.label == blue.label and compatible(
-                    candidate, blue, config.eps_al
-                ):
-                    edge[1] = candidate
-                    _fold(candidate, blue)
-                    merged = True
-                    break
-            if not merged:
-                blue.expand()
-                blue.red_index = len(red)
-                red.append(blue)
-            # Folding can graft new blue nodes onto earlier promoted states,
-            # so rescan this state and let the outer loop settle globally.
+    # Folding can graft new blue nodes onto earlier promoted states, so the
+    # scan comes back to every state until a round finds nothing to do.
+    i = idle = 0
+    while idle < len(red):
+        edge = _first_blue_edge(red[i])
+        if edge is None:
+            idle += 1
+            i = (i + 1) % len(red)
+            continue
+        idle = 0
+        blue = edge[1]
+        for candidate in red:
+            if candidate.label == blue.label and compatible(
+                candidate, blue, config.eps_al
+            ):
+                edge[1] = candidate
+                _fold(candidate, blue)
+                break
+        else:
+            blue.expand()
+            blue.red_index = len(red)
+            red.append(blue)
 
     counts: dict[tuple[int, str], dict[int, int]] = {}
     for node in red:

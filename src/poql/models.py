@@ -164,6 +164,8 @@ class DeterministicLabeledMdp:
             if s not in state_set or a not in self.actions:
                 raise ValueError(f"transition from unknown ({s}, {a!r})")
             _check_distribution(dist, f"trans({s}, {a!r})")
+            if not set(dist) <= state_set:
+                raise ValueError(f"trans({s}, {a!r}) targets unknown states")
         bad = label_determinism_violations(self.label, self.trans)
         if bad:
             s, a, s1, s2 = bad[0]

@@ -89,6 +89,16 @@ def test_qtable_from_rows_skips_comments_and_numbers_bad_rows():
     assert qtable_from_rows(rows[:3], ("coin", "button")) == {"rawobs": [3.0, 0.0]}
 
 
+@pytest.mark.parametrize("value", ["nan", "-nan", "NaN"])
+def test_qtable_from_rows_refuses_nan_and_keeps_infinities(value):
+    rows = ["rawobs,-,-,coin,inf", "rawobs,-,-,button,-inf", f"beep,2,T,coin,{value}"]
+    with pytest.raises(ValueError,
+                       match=rf"^3: malformed Q-table row 'beep,2,T,coin,{value}'$"):
+        qtable_from_rows(rows, ("coin", "button"))
+    assert qtable_from_rows(rows[:2], ("coin", "button")) == {
+        "rawobs": [float("inf"), float("-inf")]}
+
+
 def test_qtable_from_rows_refuses_a_second_row_for_one_key_and_action():
     rows = ["beep,2,T,coin,1.0", "beep,2,U,coin,2.0", "rawobs,-,-,coin,3.0",
             "beep,2,T,button,4.0", "beep,2,T,coin,5.0"]

@@ -457,6 +457,13 @@ def test_eval_reports_malformed_qtable_line(beverage_run, tmp_path, capsys):
         f"{ckpt / 'qtable.txt'}:3: malformed Q-table row 'garbage line'")
 
 
+def test_eval_reports_a_nan_qtable_value(beverage_run, tmp_path, capsys):
+    ckpt = _checkpoint_copy(beverage_run, tmp_path)
+    row = ",".join([*(ckpt / "qtable.txt").read_text().splitlines()[1].split(",")[:4], "nan"])
+    _replace_line(ckpt / "qtable.txt", 1, row)
+    assert _eval_error(ckpt, capsys) == f"{ckpt / 'qtable.txt'}:2: malformed Q-table row {row!r}"
+
+
 def test_eval_reports_a_second_row_for_one_key_and_action(beverage_run, tmp_path, capsys):
     ckpt = _checkpoint_copy(beverage_run, tmp_path)
     lines = (ckpt / "qtable.txt").read_text().splitlines()
@@ -618,6 +625,12 @@ def _zero_total(path):
     path.write_text(json.dumps(model))
 
 
+def _unknown_dst(path):
+    model = json.loads(path.read_text())
+    model["transitions"][0]["dst"] = 77
+    path.write_text(json.dumps(model))
+
+
 def _deeply_nested(path):
     path.write_text("[" * 100_000)
 
@@ -627,6 +640,8 @@ def _deeply_nested(path):
                  "but its counts sum to ", id="eval-zero-total"),
     pytest.param("export-dot", "model.json", _zero_total, "transition (0, 'button'): "
                  "total 0, but its counts sum to ", id="export-dot-zero-total"),
+    pytest.param("export-dot", "model.json", _unknown_dst,
+                 "trans(0, 'button') targets unknown states", id="export-dot-unknown-dst"),
     pytest.param("eval", "model.json", _deeply_nested, "maximum recursion depth exceeded",
                  id="eval-nested"),
     pytest.param("export-dot", "model.json", _deeply_nested,
@@ -638,8 +653,9 @@ def _deeply_nested(path):
 ])
 def test_corrupt_json_input_is_one_error_line(beverage_run, tmp_path, capsys, command, name,
                                               corrupt, message):
-    """A row total of 0 and a JSON file nested past the recursion limit each
-    end the command with one `error: <path>: ...` line and exit 2."""
+    """A row total of 0, a transition to an unknown state and a JSON file
+    nested past the recursion limit each end the command with one
+    `error: <path>: ...` line and exit 2."""
     run = _checkpoint_copy(beverage_run, tmp_path)
     corrupt(run / name)
     argv = [command, str(run / name) if command == "train" else str(run)]
@@ -687,6 +703,8 @@ def _add_zero_count_edge(model):
     pytest.param(lambda m: m["transitions"][0].update(count=2.5),
                  "count must be an integer of at least 1, got 2.5", id="count-float"),
     pytest.param(_double_count_and_total, "transition (1, 'button'): total ", id="total"),
+    pytest.param(lambda m: m["transitions"][0].update(dst=77),
+                 "trans(0, 'button') targets unknown states", id="unknown-dst"),
     pytest.param(lambda m: m["actions"].append('say "hi"'),
                  """invalid symbol 'say "hi"': need a non-whitespace token""",
                  id="action-symbol"),

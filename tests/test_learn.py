@@ -716,6 +716,36 @@ def test_compatible_monotone_in_eps(case, other_eps_al):
                 assert compatible(r, b, lo)
 
 
+def _tree_snapshot(root):
+    """Each node reachable from root, by identity, as its label, tail
+    reference, edge counts with child identities, and action totals."""
+    snapshot, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in snapshot:
+            snapshot[id(node)] = (
+                node.label, node.steps, node.pos,
+                {key: (count, id(child)) for key, (count, child) in node.edges.items()},
+                dict(node.totals))
+            stack.extend(child for _, child in node.edges.values())
+    return snapshot
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_tail_cases())
+def test_compatible_mutates_neither_tree(case):
+    """No test expands a tail or changes a count, so compatible may visit its
+    node pairs in any order."""
+    eps_al, repeated, singles = case
+    trees = [build_iofpta(repeated), build_iofpta(singles)]
+    before = [_tree_snapshot(tree.root) for tree in trees]
+    nodes = _first_nodes(trees[0]) + _first_nodes(trees[1])
+    for r in nodes:
+        for b in nodes:
+            compatible(r, b, eps_al)
+    assert [_tree_snapshot(tree.root) for tree in trees] == before
+
+
 def _least_eps_al_with_tail_bound_at_most(high, n):
     """The least float eps_al above 2/e^2 whose tail bound against n is at
     most high; the bound falls as eps_al grows."""
