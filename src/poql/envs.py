@@ -513,6 +513,13 @@ class Environment:
         return self._steps
 
 
+def _grid_world(params: dict) -> World:
+    if "layout" not in params:
+        raise ValueError("grid needs a 'layout' parameter")
+    spec = GridSpec.from_text(params.pop("layout"), slip=_as_prob(params.pop("slip", 0)))
+    return grid_pomdp(spec)
+
+
 _BUILDERS = {
     "hot_beverage": lambda params: hot_beverage_world(
         params.pop("p_t", Fraction(1, 10)),
@@ -523,12 +530,7 @@ _BUILDERS = {
     "confusing_officeworld": lambda params: confusing_officeworld_world(),
     "gravity": lambda params: gravity_world(),
     "thinmaze": lambda params: thinmaze_world(),
-    "grid": lambda params: grid_pomdp(
-        GridSpec.from_text(
-            params.pop("layout"),
-            slip=_as_prob(params.pop("slip", 0)),
-        ),
-    ),
+    "grid": _grid_world,
 }
 
 ENVIRONMENT_NAMES = tuple(sorted(_BUILDERS))

@@ -55,32 +55,13 @@ class InconsistentSample(ValueError):
 _EMPTY = MappingProxyType({})
 
 
-class _EdgeField(Mapping):
-    """Read-only view of one field of every record of an edge table."""
-
-    __slots__ = ("_edges", "_field")
-
-    def __init__(self, edges: Mapping[tuple[str, str], list], field: int):
-        self._edges = edges
-        self._field = field
-
-    def __getitem__(self, key):
-        return self._edges[key][self._field]
-
-    def __iter__(self):
-        return iter(self._edges)
-
-    def __len__(self) -> int:
-        return len(self._edges)
-
-
 class IofptaNode:
     """Prefix tree node: an observation label plus frequency-annotated edges.
 
     edges maps each (action, observation) to a mutable [count, child]
     record; an edge exists iff its count is positive, and its child's label
     is always the key's observation. totals caches the per-action count
-    sums. children and freq are read-only views of the records' two fields.
+    sums. children and freq are read-only copies of the records' two fields.
 
     A node that only one trace reaches is a compressed tail: steps is that
     trace's step tuple and pos the index of the node's outgoing step, so the
@@ -106,11 +87,11 @@ class IofptaNode:
 
     @property
     def children(self) -> Mapping[tuple[str, str], IofptaNode]:
-        return _EdgeField(self.edges, 1)
+        return MappingProxyType({key: edge[1] for key, edge in self.edges.items()})
 
     @property
     def freq(self) -> Mapping[tuple[str, str], int]:
-        return _EdgeField(self.edges, 0)
+        return MappingProxyType({key: edge[0] for key, edge in self.edges.items()})
 
     def expand(self) -> None:
         """Turn a tail into an ordinary node whose one child is the rest of
@@ -158,8 +139,7 @@ class LearnerConfig:
     eps_al: float = 0.05
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.eps_al <= 1.0:
-            raise ValueError(f"eps_al must be in (0, 1], got {self.eps_al}")
+        _bound_scale(self.eps_al)  # raises ValueError outside (0, 1]
 
 
 def build_iofpta(traces: Iterable[ObsTrace]) -> Iofpta:

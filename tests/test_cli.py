@@ -106,6 +106,15 @@ def test_train_rejects_grid_layout_that_is_not_a_string(tmp_path, capsys, layout
     assert not (tmp_path / "nope").exists()
 
 
+def test_train_rejects_grid_without_layout(tmp_path, capsys):
+    cfg = _config(tmp_path / "nope")
+    cfg["environment"] = {"name": "grid"}
+    path = _write_config(tmp_path, "grid.json", cfg)
+    assert _error_line(["train", str(path)], capsys) == (
+        "invalid environment: grid needs a 'layout' parameter")
+    assert not (tmp_path / "nope").exists()
+
+
 @pytest.mark.parametrize("max_steps", ["100", 0, -3, True, 1.5])
 def test_train_rejects_max_steps_below_one_or_not_an_integer(tmp_path, capsys, max_steps):
     cfg = _config(tmp_path / "nope")

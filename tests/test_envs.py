@@ -52,6 +52,11 @@ def test_gravity_takes_no_size_parameters(params):
     assert str(info.value) == f"unused environment parameters: {sorted(params)}"
 
 
+def test_grid_without_layout_names_the_missing_parameter():
+    with pytest.raises(ValueError, match="'layout'"):
+        make_environment("grid", seed=0)
+
+
 def test_reset_observations():
     assert make_environment("hot_beverage", seed=0).reset()[0] == "init"
     assert make_environment("officeworld", seed=0).reset()[0] == "Room1"

@@ -508,8 +508,19 @@ _EPS_AL = st.one_of(st.floats(0.001, 0.27), st.floats(0.28, 1.0))
 @settings(max_examples=100, deadline=None)
 @given(traces=_samples())
 def test_iofpta_edge_mass_counts_every_step(traces):
+    """Also: on every node, tails included, children and freq are read-only
+    copies of the edge records' two fields."""
     tree = build_iofpta(traces)
     assert edge_mass(tree) == sum(len(steps) for _, steps in traces)
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        assert dict(node.freq) == {key: edge[0] for key, edge in node.edges.items()}
+        assert dict(node.children) == {key: edge[1] for key, edge in node.edges.items()}
+        for field in (node.freq, node.children):
+            with pytest.raises(TypeError):
+                field[("x", "a")] = 1
+        stack.extend(edge[1] for edge in node.edges.values())
 
 
 @settings(max_examples=100, deadline=None)
