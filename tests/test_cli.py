@@ -198,6 +198,30 @@ def test_train_rejects_boolean_seed(tmp_path, capsys):
     assert not (tmp_path / "nope").exists()
 
 
+def _drop_seed(cfg):
+    del cfg["seed"]
+
+
+@pytest.mark.parametrize("edit,message", [
+    pytest.param(lambda cfg: cfg.update(schema_version=2),
+                 "schema_version must be 1, got 2", id="schema-version"),
+    pytest.param(_drop_seed, "config missing keys: ['seed']", id="missing-key"),
+    pytest.param(lambda cfg: cfg.update(agent="sarsa"),
+                 "agent must be one of ('poql', 'obs_baseline', 'random'), got 'sarsa'",
+                 id="agent-kind"),
+    pytest.param(lambda cfg: cfg.update(environment="gravity"),
+                 "environment must be an object with a 'name'", id="environment-string"),
+    pytest.param(lambda cfg: cfg.update(environment={"layout": "S.G"}),
+                 "environment must be an object with a 'name'", id="environment-unnamed"),
+])
+def test_train_rejects_config_outside_the_schema(tmp_path, capsys, edit, message):
+    cfg = _config(tmp_path / "nope")
+    edit(cfg)
+    path = _write_config(tmp_path, "schema.json", cfg)
+    assert _error_line(["train", str(path)], capsys) == message
+    assert not (tmp_path / "nope").exists()
+
+
 def test_train_rejects_non_string_output_dir(tmp_path, capsys):
     cfg = _config(tmp_path / "unused")
     cfg["output_dir"] = 5
@@ -841,6 +865,53 @@ def test_random_agent_run(tmp_path):
     assert meta["status"] == "complete"
     assert 0.0 <= meta["final"]["goal_rate"] <= 1.0
     assert not (tmp_path / "rand" / "model.json").exists()
+
+
+# A gravity run that relearns every 10 episodes until the freeze point (45)
+# and evaluates every 15, without reaching the goal rate that stops it.
+_CONSOLE_RUN = dict(max_episodes=60, bootstrap_episodes=10, update_interval=10,
+                    eval_every=15, eval_episodes=5)
+_CONSOLE_LINES = {
+    "poql": [
+        "episode 0: relearned model with 3 states from 11 traces",
+        "episode 10: relearned model with 3 states from 21 traces",
+        "episode 15: goal_rate=0.00 mean_steps=None states=3",
+        "episode 20: relearned model with 3 states from 31 traces",
+        "episode 30: goal_rate=0.00 mean_steps=None states=3",
+        "episode 30: relearned model with 3 states from 41 traces",
+        "episode 40: relearned model with 3 states from 51 traces",
+        "episode 45: goal_rate=0.00 mean_steps=None states=3",
+        "episode 60: goal_rate=0.60 mean_steps=43 states=3",
+    ],
+    "obs_baseline": [
+        "episode 15: goal_rate=0.00 mean_steps=None",
+        "episode 30: goal_rate=0.00 mean_steps=None",
+        "episode 45: goal_rate=0.00 mean_steps=None",
+        "episode 60: goal_rate=0.00 mean_steps=None",
+    ],
+    "random": [],
+}
+
+
+@pytest.mark.parametrize("agent", sorted(_CONSOLE_LINES))
+def test_train_without_quiet_prints_relearns_evaluations_and_completion(
+        tmp_path, capsys, agent):
+    out = tmp_path / agent
+    path = _write_config(tmp_path, "console.json",
+                         _config(out, agent=agent, env_name="gravity", **_CONSOLE_RUN))
+    assert main(["train", str(path)]) == 0
+    *lines, last = capsys.readouterr().out.splitlines()
+    assert lines == _CONSOLE_LINES[agent]
+    assert re.fullmatch(rf"run complete: {re.escape(str(out))} \(wall time \d+\.\ds\)", last)
+
+
+@pytest.mark.parametrize("agent", ["poql", "obs_baseline", "random"])
+def test_run_record_header_follows_the_documented_schema(tmp_path, agent):
+    schema = json.loads(
+        (Path(__file__).parents[1] / "docs" / "run_record_schema.json").read_text())
+    assert _train_small(tmp_path, tmp_path / agent, agent) == 0
+    header = (tmp_path / agent / "run_record.csv").read_text().splitlines()[0]
+    assert header.split(",") == [column["name"] for column in schema["columns"]]
 
 
 def test_officeworld_poql_run_hits_the_oracle(tmp_path):
