@@ -146,7 +146,7 @@ class AgentConfig:
     update_interval: int = 1000
     freeze_after: int | None = None
     max_episodes: int = 30_000
-    eps_al: float = 0.05
+    eps_al: float = LearnerConfig.eps_al
     bootstrap_episodes: int = 500
     eval_every: int = 1000
     eval_episodes: int = 100
@@ -239,29 +239,11 @@ class TabularAgent:
         self.relearn_episodes: list[int] = []
         self.stop_episode: int | None = None
 
-    def relearn(self, episode: int, log: Callable[[str], None] | None) -> None:
-        """With a model, every update_interval episodes before the freeze point,
-        relearn it from the full history and replay the history into a fresh
-        Q-table. Without one, do nothing."""
-        config = self.config
-        if (self.model is None or episode >= config.resolved_freeze_after()
-                or episode % config.update_interval):
-            return
-        self.model = _learn_model(self.history, config)
-        self.relearn_episodes.append(episode)
-        self.q = {}
-        replay(self.q, self.model, self.history, self.actions, config.alpha, config.gamma)
-        if log:
-            log(
-                f"episode {episode}: relearned model with "
-                f"{len(self.model.states)} states from {len(self.history)} traces"
-            )
-
 
 class RandomAgent:
     """Uniform-random policy, for floors, sanity checks and bootstrap episodes."""
 
-    def __init__(self, actions: Sequence[str], gamma: float = 0.99):
+    def __init__(self, actions: Sequence[str], gamma: float = AgentConfig.gamma):
         self.actions = tuple(actions)
         self.gamma = gamma
 
@@ -402,13 +384,28 @@ def _train_loop(
     log: Callable[[str], None] | None,
 ) -> TabularAgent:
     """Epsilon-greedy episodes with periodic relearning and greedy evaluation,
-    until max_episodes or until an evaluation meets the stop target."""
+    until max_episodes or until an evaluation meets the stop target.
+
+    With a model, every update_interval episodes before the freeze point, the
+    model is relearned from the full history and the history is replayed into
+    a fresh Q-table; without one, never."""
     config = agent.config
     learn = (config.alpha, config.gamma)
+    relearn_before = config.resolved_freeze_after() if agent.model is not None else 0
     for episode in range(config.max_episodes):
         trace = run_episode(env, agent, rng, config.epsilon_at(episode), learn)
         agent.history.append(RewardObservationTrace(*trace))
-        agent.relearn(episode, log)
+        if episode < relearn_before and episode % config.update_interval == 0:
+            agent.model = _learn_model(agent.history, config)
+            agent.relearn_episodes.append(episode)
+            agent.q = {}
+            replay(agent.q, agent.model, agent.history, agent.actions,
+                   config.alpha, config.gamma)
+            if log:
+                log(
+                    f"episode {episode}: relearned model with "
+                    f"{len(agent.model.states)} states from {len(agent.history)} traces"
+                )
 
         if (episode + 1) % config.eval_every == 0 or episode + 1 == config.max_episodes:
             stats = evaluate(agent, env, config.eval_episodes, f"{seed}|eval|{episode}")
@@ -466,7 +463,8 @@ def baseline_obs_q(
 
 
 def _eval_row(episode: int, stats: EvalStats, agent) -> dict:
-    """One run_record.csv row; a fixed policy has neither model nor Q-table."""
+    """One run_record.csv row, whose keys are the file's columns before
+    config_hash; a fixed policy has neither model nor Q-table."""
     model = getattr(agent, "model", None)
     return {
         "episode": episode,

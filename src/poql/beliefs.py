@@ -188,7 +188,6 @@ def build_belief_mdp(pomdp: Pomdp, max_states: int = 10_000) -> BeliefMdp:
             trans[(sid, a)] = dist
 
     model = DeterministicLabeledMdp(
-        states=tuple(range(len(beliefs))),
         initial=0,
         actions=pomdp.mdp.actions,
         label=label,

@@ -31,15 +31,6 @@ from .models import atomic_open, dlmdp_to_dot
 
 SCHEMA_VERSION = 1
 AGENT_KINDS = ("poql", "obs_baseline", "random")
-RUN_RECORD_COLUMNS = (
-    "episode",
-    "goal_rate",
-    "mean_steps",
-    "mean_return",
-    "model_state_count",
-    "q_rows",
-    "config_hash",
-)
 # The checkpoint files that each agent kind does not write. A new run removes
 # any that an earlier run left, so they never pass for its own; the files it
 # does write are replaced in place.
@@ -87,16 +78,13 @@ def resolve_output_dir(config: dict) -> Path:
 
 
 def _write_run_record(path: Path, rows: list[dict], digest: str) -> None:
-    """Write the evaluation rows as CSV, replacing `path` atomically."""
+    """Write the evaluation rows (see `_eval_row`, which names the columns)
+    as CSV with a `config_hash` column, replacing `path` atomically. A
+    mean_steps of None is written empty."""
     with _writing(path), atomic_open(path, newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RUN_RECORD_COLUMNS)
+        writer = csv.DictWriter(fh, fieldnames=[*rows[0], "config_hash"])
         writer.writeheader()
-        for row in rows:
-            out = dict(row)
-            out["config_hash"] = digest
-            if out.get("mean_steps") is None:
-                out["mean_steps"] = ""
-            writer.writerow(out)
+        writer.writerows(dict(row, config_hash=digest) for row in rows)
 
 
 def cmd_train(args) -> int:
@@ -137,17 +125,13 @@ def cmd_train(args) -> int:
     if agent is not None:
         save_checkpoint(out, agent, config)
     _write_run_record(out / "run_record.csv", eval_rows, digest)
-    final = eval_rows[-1] if eval_rows else {}
+    final = eval_rows[-1]
     run_meta.update(
         status="complete",
         config_hash=digest,
         stop_episode=stop_episode,
         wall_time_s=wall_time,
-        final={
-            "goal_rate": final.get("goal_rate"),
-            "mean_steps": final.get("mean_steps"),
-            "mean_return": final.get("mean_return"),
-        },
+        final={name: final[name] for name in ("goal_rate", "mean_steps", "mean_return")},
     )
     write_text_atomic(out / "run.json", json.dumps(run_meta, indent=2, sort_keys=True))
     if not args.quiet:
@@ -255,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate a saved checkpoint")
     p_eval.add_argument("checkpoint")
-    p_eval.add_argument("--episodes", type=int, default=100)
+    p_eval.add_argument("--episodes", type=int, default=AgentConfig.eval_episodes)
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.set_defaults(func=cmd_eval)
 

@@ -40,14 +40,14 @@ Cell = tuple[int, int]
 class GridSpec:
     """Declarative description of a gridworld layout.
 
-    Walls are thin: `blocked` holds unordered pairs of adjacent cells whose
-    shared edge cannot be crossed. Cells absent from `cells` are solid.
+    `room_of` gives every traversable cell its observation; cells absent
+    from it are solid. Walls are thin: `blocked` holds unordered pairs of
+    adjacent cells whose shared edge cannot be crossed.
     `slip` is the probability, in every cell, of slipping to a perpendicular
     direction; `sticky` gives per-edge probabilities that a crossing fails
     and leaves the position unchanged.
     """
 
-    cells: frozenset[Cell]
     blocked: frozenset[tuple[Cell, Cell]]
     room_of: Mapping[Cell, str]
     start: Cell
@@ -56,22 +56,19 @@ class GridSpec:
     sticky: Mapping[tuple[Cell, Cell], Fraction] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.start not in self.cells or self.goal not in self.cells:
+        if self.start not in self.room_of or self.goal not in self.room_of:
             raise ValueError("start and goal must be traversable cells")
         if not 0 <= self.slip <= 1:
             raise ValueError(f"slip probability {self.slip} outside [0, 1]")
         for edge, p in self.sticky.items():
             if not 0 <= p <= 1:
                 raise ValueError(f"sticky probability {p} at {edge} outside [0, 1]")
-        missing = self.cells - set(self.room_of)
-        if missing:
-            raise ValueError(f"cells without an observation: {sorted(missing)}")
 
     def move(self, cell: Cell, action: str) -> Cell | None:
         """Target of a move, or None when blocked by a wall or the boundary."""
         dx, dy = _MOVES[action]
         target = (cell[0] + dx, cell[1] + dy)
-        if target not in self.cells:
+        if target not in self.room_of:
             return None
         if tuple(sorted((cell, target))) in self.blocked:
             return None
@@ -92,7 +89,6 @@ class GridSpec:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("grid rows must all have the same width")
-        cells: set[Cell] = set()
         room_of: dict[Cell, str] = {}
         starts: list[Cell] = []
         goals: list[Cell] = []
@@ -101,7 +97,6 @@ class GridSpec:
                 cell = (x, y)
                 if glyph == "#":
                     continue
-                cells.add(cell)
                 if glyph == ".":
                     room_of[cell] = "floor"
                 elif glyph == "S":
@@ -119,7 +114,6 @@ class GridSpec:
         if len(starts) != 1 or len(goals) != 1:
             raise ValueError("grid needs exactly one S and one G")
         return cls(
-            cells=frozenset(cells),
             blocked=frozenset(),
             room_of=room_of,
             start=starts[0],
@@ -144,7 +138,7 @@ def grid_pomdp(spec: GridSpec, *, bump_obs: str | None = None) -> World:
     bump_obs; this is how a maze can signal walls without revealing position.
     A slip replaces the chosen action by a uniformly chosen perpendicular one.
     """
-    order = sorted(spec.cells, key=lambda c: (c[1], c[0]))
+    order = sorted(spec.room_of, key=lambda c: (c[1], c[0]))
     keys: list[Hashable]
     if bump_obs is None:
         keys = list(order)
@@ -200,7 +194,6 @@ def grid_pomdp(spec: GridSpec, *, bump_obs: str | None = None) -> World:
     pomdp = Pomdp(
         mdp=Mdp(tuple(range(len(keys))), state_of[start_key],
                 GRID_ACTIONS, delta),
-        observations=tuple(sorted(set(obs_fn.values()))),
         obs_fn=obs_fn,
         reward_fn={goal_id: GOAL_REWARD},
         goal_states=frozenset({goal_id}),
@@ -237,7 +230,6 @@ def hot_beverage_world(
     obs_fn = {0: "init", 1: "beep", 2: "beep", 3: "coffee", 4: "tea"}
     pomdp = Pomdp(
         mdp=Mdp((0, 1, 2, 3, 4), 0, actions, delta),
-        observations=("beep", "coffee", "init", "tea"),
         obs_fn=obs_fn,
         reward_fn={4: GOAL_REWARD},
         goal_states=frozenset({4}),
@@ -273,7 +265,6 @@ def _office_spec(aliased: bool) -> GridSpec:
     closes the doorway between the bottom rooms, so the optimal actions in
     the two rooms of each aliased pair point in opposite directions.
     """
-    cells = frozenset((x, y) for x in range(6) for y in range(6))
     doors = {((2, 1), (3, 1)), ((1, 2), (1, 3)), ((4, 2), (4, 3))}
     if not aliased:
         doors.add(((2, 4), (3, 4)))
@@ -289,10 +280,9 @@ def _office_spec(aliased: bool) -> GridSpec:
     rooms = _OFFICE_ROOMS_ALIASED if aliased else _OFFICE_ROOMS_PLAIN
     room_of = {
         (x, y): rooms[(0 if x < 3 else 1, 0 if y < 3 else 1)]
-        for (x, y) in cells
+        for x in range(6) for y in range(6)
     }
     return GridSpec(
-        cells=cells,
         blocked=frozenset(tuple(sorted(p)) for p in blocked),
         room_of=room_of,
         start=(0, 0),
@@ -367,7 +357,6 @@ def gravity_world() -> World:
     goal_ids = frozenset({state_of[(goal, 0)], state_of[(goal, 1)]})
     pomdp = Pomdp(
         mdp=Mdp(tuple(range(len(keys))), state_of[(start, 0)], GRID_ACTIONS, delta),
-        observations=("air", "cookie", "floor", "toggle"),
         obs_fn=obs_fn,
         reward_fn={sid: GOAL_REWARD for sid in goal_ids},
         goal_states=goal_ids,
@@ -378,7 +367,6 @@ def gravity_world() -> World:
 def _thinmaze_spec() -> GridSpec:
     """Serpentine corridor: three full rows joined at alternating ends, with
     the cookie three cells into the final row. Shortest path: 20 steps."""
-    cells = frozenset((x, y) for x in range(6) for y in range(4))
     openings = {0: 5, 1: 0, 2: 5}  # row boundary y/y+1 -> open column
     blocked = set()
     for y, open_x in openings.items():
@@ -386,9 +374,9 @@ def _thinmaze_spec() -> GridSpec:
             if x != open_x:
                 blocked.add(((x, y), (x, y + 1)))
     return GridSpec(
-        cells=cells,
         blocked=frozenset(tuple(sorted(p)) for p in blocked),
-        room_of={c: ("cookie" if c == (3, 3) else "corridor") for c in cells},
+        room_of={(x, y): ("cookie" if (x, y) == (3, 3) else "corridor")
+                 for x in range(6) for y in range(4)},
         start=(0, 0),
         goal=(3, 3),
     )
@@ -516,16 +504,13 @@ class Environment:
 def _grid_world(params: dict) -> World:
     if "layout" not in params:
         raise ValueError("grid needs a 'layout' parameter")
-    spec = GridSpec.from_text(params.pop("layout"), slip=_as_prob(params.pop("slip", 0)))
-    return grid_pomdp(spec)
+    slip = {"slip": _as_prob(params.pop("slip"))} if "slip" in params else {}
+    return grid_pomdp(GridSpec.from_text(params.pop("layout"), **slip))
 
 
 _BUILDERS = {
     "hot_beverage": lambda params: hot_beverage_world(
-        params.pop("p_t", Fraction(1, 10)),
-        params.pop("p_cc", Fraction(1, 2)),
-        params.pop("p_tt", Fraction(1, 2)),
-    ),
+        **{name: params.pop(name) for name in ("p_t", "p_cc", "p_tt") if name in params}),
     "officeworld": lambda params: officeworld_world(),
     "confusing_officeworld": lambda params: confusing_officeworld_world(),
     "gravity": lambda params: gravity_world(),

@@ -88,19 +88,19 @@ class Pomdp:
     """
 
     mdp: Mdp
-    observations: tuple[str, ...]
     obs_fn: Mapping[int, str]
     reward_fn: Mapping[int, float]
     goal_states: frozenset[int]
+    #: The observations that obs_fn emits, sorted.
+    observations: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         state_set = set(self.mdp.states)
         if set(self.obs_fn) != state_set:
             raise ValueError("obs_fn must be total over states")
-        if not set(self.obs_fn.values()) <= set(self.observations):
-            raise ValueError("obs_fn emits unknown observations")
         if not self.goal_states <= state_set:
             raise ValueError("goal_states outside state space")
+        object.__setattr__(self, "observations", tuple(sorted(set(self.obs_fn.values()))))
 
     def obs(self, state: int) -> str:
         return self.obs_fn[state]
@@ -139,14 +139,15 @@ class DeterministicLabeledMdp:
     The transition map may be partial: (state, action) pairs never observed
     in training data are simply absent. Learned models additionally carry
     integer edge counts so transition probabilities are exact rationals.
+    The states are the keys of `label`, in its order.
     """
 
-    states: tuple[int, ...]
     initial: int
     actions: tuple[str, ...]
     label: Mapping[int, str]
     trans: Mapping[tuple[int, str], Mapping[int, Prob]]
     counts: Mapping[tuple[int, str], Mapping[int, int]] | None = None
+    states: tuple[int, ...] = field(init=False)
     _successors: dict[tuple[ExtendedState, str, str], ExtendedState] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -155,11 +156,10 @@ class DeterministicLabeledMdp:
     )
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "states", tuple(self.label))
         state_set = set(self.states)
         if self.initial not in state_set:
             raise ValueError(f"initial state {self.initial} not among states")
-        if set(self.label) != state_set:
-            raise ValueError("label must be total over states")
         for (s, a), dist in self.trans.items():
             if s not in state_set or a not in self.actions:
                 raise ValueError(f"transition from unknown ({s}, {a!r})")
@@ -192,7 +192,7 @@ class DeterministicLabeledMdp:
         transition's probability is its edge count over its row's total."""
         trans = {key: {succ: Fraction(c, sum(row.values())) for succ, c in row.items()}
                  for key, row in counts.items()}
-        return cls(tuple(label), initial, tuple(actions), label, trans, counts)
+        return cls(initial, tuple(actions), label, trans, counts)
 
     def successors(self, state: int, action: str) -> Mapping[int, Prob]:
         return self.trans.get((state, action), {})
@@ -397,8 +397,6 @@ def dlmdp_to_dot(model: DeterministicLabeledMdp, comment: str | None = None) -> 
     Node labels are `id|obs`; edge labels are `action:prob` with four decimal
     digits.
     """
-    if not model.states:
-        raise ValueError("cannot export an empty model")
     lines = ["digraph model {"]
     if comment:
         lines.append(f"  // {comment}")

@@ -131,7 +131,6 @@ def fully_observable(pomdp: Pomdp) -> Pomdp:
     obs_fn = {s: f"st{s}" for s in pomdp.mdp.states}
     return Pomdp(
         mdp=pomdp.mdp,
-        observations=tuple(sorted(obs_fn.values())),
         obs_fn=obs_fn,
         reward_fn=pomdp.reward_fn,
         goal_states=pomdp.goal_states,

@@ -629,7 +629,6 @@ def _signed_zero_environment() -> Environment:
     coin = {1: 0.5, 2: 0.5}
     pomdp = Pomdp(
         mdp=Mdp((0, 1, 2), 0, ("go",), {(s, "go"): coin for s in (0, 1, 2)}),
-        observations=("o",),
         obs_fn={0: "o", 1: "o", 2: "o"},
         reward_fn={1: -0.0},
         goal_states=frozenset(),

@@ -198,14 +198,11 @@ def test_train_rejects_boolean_seed(tmp_path, capsys):
     assert not (tmp_path / "nope").exists()
 
 
-def _drop_seed(cfg):
-    del cfg["seed"]
-
-
 @pytest.mark.parametrize("edit,message", [
     pytest.param(lambda cfg: cfg.update(schema_version=2),
                  "schema_version must be 1, got 2", id="schema-version"),
-    pytest.param(_drop_seed, "config missing keys: ['seed']", id="missing-key"),
+    pytest.param(lambda cfg: cfg.pop("seed"), "config missing keys: ['seed']",
+                 id="missing-key"),
     pytest.param(lambda cfg: cfg.update(agent="sarsa"),
                  "agent must be one of ('poql', 'obs_baseline', 'random'), got 'sarsa'",
                  id="agent-kind"),

@@ -338,13 +338,13 @@ def test_step_draws_the_successors_of_a_bisect_walk_over_delta(name, params):
 
 def test_grid_text_parses_layout():
     spec = GridSpec.from_text(GRID_TEXT)
-    assert {x for x, _ in spec.cells} == set(range(5))
-    assert {y for _, y in spec.cells} == set(range(4))
+    assert {x for x, _ in spec.room_of} == set(range(5))
+    assert {y for _, y in spec.room_of} == set(range(4))
     assert spec.start == (0, 0) and spec.goal == (4, 3)
     assert spec.room_of[(1, 0)] == "Room1"
     assert spec.room_of[(4, 1)] == "Room2"
     assert spec.room_of[(4, 2)] == "toggle"
-    assert (3, 2) not in spec.cells
+    assert (3, 2) not in spec.room_of
     assert spec.move((0, 0), "down") == (0, 1)
     assert spec.move((0, 1), "down") is None
 
@@ -463,4 +463,4 @@ def test_grid_from_text_succeeds_or_raises_value_error(text):
         spec = GridSpec.from_text(text)
     except ValueError:
         return
-    assert spec.start in spec.cells and spec.goal in spec.cells
+    assert spec.start in spec.room_of and spec.goal in spec.room_of

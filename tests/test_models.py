@@ -301,13 +301,12 @@ def test_mdp_rejects_bad_distribution():
 def test_pomdp_requires_total_obs_fn(beverage_world):
     mdp = beverage_world.pomdp.mdp
     with pytest.raises(ValueError, match="total"):
-        Pomdp(mdp, ("x",), {0: "x"}, {}, frozenset())
+        Pomdp(mdp, {0: "x"}, {}, frozenset())
 
 
 def test_dlmdp_rejects_label_nondeterminism():
     with pytest.raises(ValueError, match="determinism"):
         DeterministicLabeledMdp(
-            states=(0, 1, 2),
             initial=0,
             actions=("a",),
             label={0: "s", 1: "t", 2: "t"},
@@ -317,7 +316,6 @@ def test_dlmdp_rejects_label_nondeterminism():
 
 def test_dlmdp_allows_partial_transitions():
     m = DeterministicLabeledMdp(
-        states=(0, 1),
         initial=0,
         actions=("a", "b"),
         label={0: "s", 1: "t"},
@@ -342,7 +340,7 @@ def test_dot_export_shape(beverage_belief_model):
 
 def test_empty_model_cannot_exist():
     with pytest.raises(ValueError):
-        DeterministicLabeledMdp((), 0, (), {}, {})
+        DeterministicLabeledMdp(0, (), {}, {})
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +349,6 @@ def test_empty_model_cannot_exist():
 
 def _two_state(prob: Fraction):
     return DeterministicLabeledMdp(
-        states=(0, 1),
         initial=0,
         actions=("go",),
         label={0: "a", 1: "b"},
@@ -367,7 +364,6 @@ def test_isomorphic_under_relabeling(beverage_belief_model):
     m = beverage_belief_model
     perm = {s: (s + 1) % len(m.states) for s in m.states}
     relabeled = DeterministicLabeledMdp(
-        states=tuple(sorted(perm.values())),
         initial=perm[m.initial],
         actions=m.actions,
         label={perm[s]: m.label[s] for s in m.states},
