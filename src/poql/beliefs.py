@@ -7,6 +7,7 @@ are pure and safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -265,26 +266,79 @@ def optimal_expected_steps(
 ) -> dict[int, float]:
     """Minimal expected number of steps to reach a goal state, per state.
 
-    Stochastic-shortest-path value iteration; diverges (large values) for
-    states that cannot reach the goal under any policy.
+    Stochastic-shortest-path value iteration (Gauss-Seidel, in state order)
+    over the states from which some policy reaches a goal with probability 1;
+    every other non-goal state gets math.inf without a sweep.
     """
     if not goal_states:
         raise ValueError("need at least one goal state")
-    steps = {s: 0.0 for s in mdp.states}
-    live = [s for s in mdp.states if s not in goal_states]
+    # States are numbered by their position in mdp.states. Each non-goal
+    # state has one row per action: its non-goal successors with p > 0 and
+    # their float probabilities, in the distribution's order.
+    position = {s: k for k, s in enumerate(mdp.states)}
+    rows: dict[int, list[list[tuple[int, float]]]] = {}
+    exits: set[tuple[int, int]] = set()
+    for k, s in enumerate(mdp.states):
+        if s in goal_states:
+            continue
+        state_rows = rows[k] = []
+        for i, a in enumerate(mdp.actions):
+            row = []
+            for succ, p in mdp.distribution(s, a).items():
+                if p > 0:
+                    if succ in goal_states:
+                        exits.add((k, i))
+                    else:
+                        row.append((position[succ], float(p)))
+            state_rows.append(row)
+    live = _reach_goal_almost_surely(rows, exits)
+    steps = [math.inf if k in rows and k not in live else 0.0 for k in range(len(mdp.states))]
+    sweep = [(k, state_rows) for k, state_rows in rows.items() if k in live]
     for _ in range(max_iter):
         residual = 0.0
-        for s in live:
-            best = None
-            for a in mdp.actions:
+        for k, state_rows in sweep:
+            best = math.inf
+            for row in state_rows:
                 total = 1.0
-                for succ, p in mdp.distribution(s, a).items():
-                    if succ not in goal_states:
-                        total += float(p) * steps[succ]
-                if best is None or total < best:
+                for succ, p in row:
+                    total += p * steps[succ]
+                if total < best:
                     best = total
-            residual = max(residual, abs(best - steps[s]))
-            steps[s] = best
+            change = abs(best - steps[k])
+            if change > residual:
+                residual = change
+            steps[k] = best
         if residual < tol:
             break
-    return steps
+    return dict(zip(mdp.states, steps))
+
+
+def _reach_goal_almost_surely(
+    rows: Mapping[int, list[list[tuple[int, float]]]],
+    exits: set[tuple[int, int]],
+) -> set[int]:
+    """The non-goal states from which some policy reaches a goal with
+    probability 1: the Prob1E fixpoint (Baier & Katoen, Principles of Model
+    Checking, 2008). Each round keeps the states that reach a goal through
+    rows whose successors all stay in the current set, walking predecessor
+    lists backwards from the rows in `exits` (those with a goal successor),
+    and the rounds repeat until the set stops shrinking."""
+    preds: dict[int, list[tuple[int, int]]] = {}
+    for s, state_rows in rows.items():
+        for i, row in enumerate(state_rows):
+            for succ, _ in row:
+                preds.setdefault(succ, []).append((s, i))
+    alive = set(rows)
+    while True:
+        inside = {(s, i) for s in alive for i, row in enumerate(rows[s])
+                  if all(succ in alive for succ, _ in row)}
+        stack = [s for s, i in exits & inside]
+        reached: set[int] = set()
+        while stack:
+            t = stack.pop()
+            if t not in reached:
+                reached.add(t)
+                stack.extend(s for s, i in preds.get(t, ()) if (s, i) in inside)
+        if reached == alive:
+            return alive
+        alive = reached

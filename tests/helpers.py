@@ -13,7 +13,7 @@ from poql.agent import (AgentConfig, EvalStats, RandomAgent, get_action, round_s
                         update_q_values)
 from poql.envs import Environment
 from poql.learn import Iofpta
-from poql.models import (DeterministicLabeledMdp, ExtendedState, ObsTrace, Pomdp, Prob,
+from poql.models import (DeterministicLabeledMdp, ExtendedState, Mdp, ObsTrace, Pomdp, Prob,
                          RewardObservationTrace)
 
 
@@ -135,6 +135,35 @@ def fully_observable(pomdp: Pomdp) -> Pomdp:
         reward_fn=pomdp.reward_fn,
         goal_states=pomdp.goal_states,
     )
+
+
+def reference_expected_steps(
+    mdp: Mdp,
+    goal_states: frozenset[int] | set[int],
+    tol: float = 1e-10,
+    max_iter: int = 1_000_000,
+) -> dict[int, float]:
+    """Minimal expected steps to a goal, by the plain Gauss-Seidel loop that
+    looks up and converts every transition on every backup. It has no guard
+    for states that cannot reach a goal with probability 1."""
+    steps = {s: 0.0 for s in mdp.states}
+    live = [s for s in mdp.states if s not in goal_states]
+    for _ in range(max_iter):
+        residual = 0.0
+        for s in live:
+            best = None
+            for a in mdp.actions:
+                total = 1.0
+                for succ, p in mdp.distribution(s, a).items():
+                    if succ not in goal_states:
+                        total += float(p) * steps[succ]
+                if best is None or total < best:
+                    best = total
+            residual = max(residual, abs(best - steps[s]))
+            steps[s] = best
+        if residual < tol:
+            break
+    return steps
 
 
 def cumulative_sampler(dist: Mapping[int, Prob]) -> tuple[list[float], list[int]]:

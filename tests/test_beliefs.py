@@ -1,8 +1,11 @@
 import dataclasses
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poql.beliefs import (
     Belief,
@@ -15,10 +18,10 @@ from poql.beliefs import (
     optimal_expected_steps,
     value_iteration,
 )
-from poql.envs import GridSpec, confusing_officeworld_world, grid_pomdp
+from poql.envs import GridSpec, confusing_officeworld_world, grid_pomdp, make_environment
 from poql.models import Mdp
 
-from helpers import fully_observable
+from helpers import fully_observable, reference_expected_steps
 
 
 # ---------------------------------------------------------------------------
@@ -358,3 +361,90 @@ def test_optimal_expected_steps_simple_chain():
     mdp = _chain_mdp(4)
     steps = optimal_expected_steps(mdp, {3})
     assert steps[0] == pytest.approx(3.0)
+
+
+# ---------------------------------------------------------------------------
+# optimal_expected_steps against the plain loop, and states that never reach
+# a goal with probability 1
+# ---------------------------------------------------------------------------
+
+_ORACLE_ENVIRONMENTS = ["hot_beverage", "officeworld", "confusing_officeworld", "gravity",
+                        "thinmaze"]
+
+
+@pytest.mark.parametrize("name", _ORACLE_ENVIRONMENTS)
+def test_optimal_expected_steps_equals_the_reference_on_each_environment(name):
+    pomdp = make_environment(name).pomdp
+    assert (optimal_expected_steps(pomdp.mdp, pomdp.goal_states)
+            == reference_expected_steps(pomdp.mdp, pomdp.goal_states))
+
+
+@pytest.mark.parametrize("name", [n for n in _ORACLE_ENVIRONMENTS if n != "gravity"])
+def test_optimal_expected_steps_equals_the_reference_on_each_belief_mdp(name):
+    pomdp = make_environment(name).pomdp
+    bmdp = build_belief_mdp(pomdp)
+    assert not bmdp.truncated
+    mdp, goals = belief_mdp_as_mdp(bmdp), bmdp.goal_states(pomdp)
+    assert optimal_expected_steps(mdp, goals) == reference_expected_steps(mdp, goals)
+
+
+@st.composite
+def _goal_reaching_mdps(draw):
+    """A small MDP over Fractions whose top `n_goals` states are the goals.
+    From every other state the first action moves only upwards, and to the
+    next state with a positive probability, so every state reaches a goal
+    with probability 1. Zero-probability entries stay in the distributions."""
+    n = draw(st.integers(2, 5))
+    n_goals = draw(st.integers(1, n - 1))
+    actions = tuple("abc"[:draw(st.integers(1, 3))])
+    delta = {}
+    for s in range(n):
+        for i, a in enumerate(actions):
+            weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+            if i == 0 and s < n - n_goals:
+                weights = [0] * s + [weights[s], weights[s + 1] + 1] + weights[s + 2:]
+            elif not any(weights):
+                weights[s] = 1
+            total = sum(weights)
+            delta[(s, a)] = {t: Fraction(w, total) for t, w in enumerate(weights)}
+    return Mdp(tuple(range(n)), 0, actions, delta), frozenset(range(n - n_goals, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_goal_reaching_mdps())
+def test_optimal_expected_steps_equals_the_reference_on_random_mdps(case):
+    mdp, goals = case
+    steps = optimal_expected_steps(mdp, goals)
+    assert steps == reference_expected_steps(mdp, goals)
+    assert all(math.isfinite(v) for v in steps.values())
+
+
+def _timed_expected_steps(mdp, goals):
+    start = time.perf_counter()
+    steps = optimal_expected_steps(mdp, goals)
+    assert time.perf_counter() - start < 0.1
+    return steps
+
+
+def test_optimal_expected_steps_is_inf_behind_a_trap():
+    # 0 -a-> {goal 1: 1/2, trap 2: 1/2}: without a guard the sweeps never
+    # converge and stop at max_iter with state 0 near max_iter / 2.
+    half = Fraction(1, 2)
+    mdp = Mdp((0, 1, 2), 0, ("a",), {
+        (0, "a"): {1: half, 2: half}, (1, "a"): {1: Fraction(1)}, (2, "a"): {2: Fraction(1)}})
+    assert _timed_expected_steps(mdp, {1}) == {0: math.inf, 1: 0.0, 2: math.inf}
+
+
+def test_optimal_expected_steps_is_inf_when_the_only_other_action_loops():
+    # State 0 risks the trap with "a" or stays put with "b"; state 3 reaches
+    # the goal by "a" in 2 expected steps, while its "b" leads into state 0.
+    half, one = Fraction(1, 2), Fraction(1)
+    mdp = Mdp((0, 1, 2, 3), 3, ("a", "b"), {
+        (0, "a"): {1: half, 2: half}, (0, "b"): {0: one},
+        (1, "a"): {1: one}, (1, "b"): {1: one},
+        (2, "a"): {2: one}, (2, "b"): {2: one},
+        (3, "a"): {1: half, 3: half}, (3, "b"): {0: one}})
+    steps = _timed_expected_steps(mdp, {1})
+    assert steps[0] == steps[2] == math.inf
+    assert steps[1] == 0.0
+    assert steps[3] == pytest.approx(2.0)
