@@ -12,13 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .models import (
-    PROB_SUM_TOL,
-    DeterministicLabeledMdp,
-    Mdp,
-    Pomdp,
-    Prob,
-)
+from .models import DeterministicLabeledMdp, Mdp, Pomdp, Prob, _check_distribution
 
 
 class ImpossibleObservation(ValueError):
@@ -34,9 +28,7 @@ class Belief:
     def __post_init__(self) -> None:
         if not self.support:
             raise ValueError("belief must have nonempty support")
-        total = sum(self.support.values())
-        if abs(float(total) - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"belief sums to {float(total)!r}, not 1")
+        _check_distribution(self.support, "belief")
 
     def items(self):
         return sorted(self.support.items())
@@ -58,14 +50,7 @@ def initial_belief(pomdp: Pomdp) -> Belief:
 
 def observation_probability(b: Belief, action: str, obs: str, pomdp: Pomdp) -> Prob:
     """Probability of observing `obs` after executing `action` in belief `b`."""
-    total = 0
-    for s, w in b.support.items():
-        if w == 0:
-            continue
-        for succ, p in pomdp.mdp.distribution(s, action).items():
-            if pomdp.obs_fn[succ] == obs:
-                total += w * p
-    return total
+    return _successor(b, action, obs, pomdp)[1]
 
 
 def belief_update(b: Belief, action: str, obs: str, pomdp: Pomdp) -> Belief:
@@ -82,8 +67,8 @@ def _successor(
     b: Belief, action: str, obs: str, pomdp: Pomdp
 ) -> tuple[Belief | None, Prob]:
     """(belief_update, observation_probability) of one branch in one pass,
-    summed in the same order as observation_probability; None for a branch
-    of probability 0."""
+    the probability summed left to right over the belief's support and each
+    distribution; None for a branch of probability 0."""
     norm = 0
     new: dict[int, Prob] = {}
     for s, w in b.support.items():

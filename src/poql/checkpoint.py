@@ -25,6 +25,7 @@ from .models import (
     DeterministicLabeledMdp,
     ExtendedState,
     atomic_open,
+    check_integer,
     check_symbol,
     dlmdp_to_dot,
     read_trace_file,
@@ -67,29 +68,21 @@ def model_to_dict(model: DeterministicLabeledMdp) -> dict:
     }
 
 
-def _integer(value, what: str, least: int | None = None) -> int:
-    """`value` if it is an integer, not a bool, of at least `least`."""
-    if (isinstance(value, bool) or not isinstance(value, int)
-            or least is not None and value < least):
-        floor = "" if least is None else f" of at least {least}"
-        raise ValueError(f"{what} must be an integer{floor}, got {value!r}")
-    return value
-
-
 def model_from_dict(data: dict) -> DeterministicLabeledMdp:
     """The model that a `model.json` encodes. A value that no learned model
     has raises ValueError: a state id that is not an integer or not unique,
     a label or action that is not a symbol, a `count` below 1, or a `total`
     other than the sum of the counts of its (state, action) row."""
-    label = {_integer(e["id"], "state id"): check_symbol(e["label"]) for e in data["states"]}
+    label = {check_integer(e["id"], "state id"): check_symbol(e["label"])
+             for e in data["states"]}
     if len(label) != len(data["states"]):
         raise ValueError("state ids must be distinct")
     if not label:
         raise ValueError("model has no states")
     counts: dict[tuple[int, str], dict[int, int]] = {}
     for entry in data["transitions"]:
-        row = counts.setdefault((_integer(entry["src"], "state id"), entry["action"]), {})
-        row[_integer(entry["dst"], "state id")] = _integer(entry["count"], "count", 1)
+        row = counts.setdefault((check_integer(entry["src"], "state id"), entry["action"]), {})
+        row[check_integer(entry["dst"], "state id")] = check_integer(entry["count"], "count", 1)
     for entry in data["transitions"]:
         total = sum(counts[entry["src"], entry["action"]].values())
         if entry["total"] != total:
@@ -97,7 +90,7 @@ def model_from_dict(data: dict) -> DeterministicLabeledMdp:
                              f"{entry['total']!r}, but its counts sum to {total}")
     actions = tuple(map(check_symbol, data["actions"]))
     return DeterministicLabeledMdp.from_counts(
-        _integer(data["initial"], "state id"), actions, label, counts)
+        check_integer(data["initial"], "state id"), actions, label, counts)
 
 
 def qtable_rows(q: dict, actions: tuple[str, ...]) -> list[str]:

@@ -77,14 +77,13 @@ def resolve_output_dir(config: dict) -> Path:
     return out
 
 
-def _write_run_record(path: Path, rows: list[dict], digest: str) -> None:
-    """Write the evaluation rows (see `_eval_row`, which names the columns)
-    as CSV with a `config_hash` column, replacing `path` atomically. A
-    mean_steps of None is written empty."""
+def _write_csv(path, fieldnames, rows) -> None:
+    """Write `rows` (dicts keyed by `fieldnames`) as CSV with a header line,
+    replacing `path` atomically. A value of None is written empty."""
     with _writing(path), atomic_open(path, newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=[*rows[0], "config_hash"])
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
-        writer.writerows(dict(row, config_hash=digest) for row in rows)
+        writer.writerows(rows)
 
 
 def cmd_train(args) -> int:
@@ -124,7 +123,9 @@ def cmd_train(args) -> int:
 
     if agent is not None:
         save_checkpoint(out, agent, config)
-    _write_run_record(out / "run_record.csv", eval_rows, digest)
+    # `_eval_row` names the columns; `config_hash` is one more.
+    _write_csv(out / "run_record.csv", [*eval_rows[0], "config_hash"],
+               (dict(row, config_hash=digest) for row in eval_rows))
     final = eval_rows[-1]
     run_meta.update(
         status="complete",
@@ -195,10 +196,7 @@ def cmd_compare(args) -> int:
     widths = {c: max(len(c), *(len(r[c]) for r in rows)) if rows else len(c) for c in columns}
     # The CSV goes first, so a failed write prints no table.
     if args.csv:
-        with _writing(args.csv), atomic_open(args.csv, newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=columns)
-            writer.writeheader()
-            writer.writerows({c: r[c] for c in columns} for r in rows)
+        _write_csv(args.csv, columns, rows)
     header = "  ".join(c.ljust(widths[c]) for c in columns)
     print(header)
     print("-" * len(header))

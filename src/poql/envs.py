@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Hashable, Mapping
 
-from .models import Mdp, Pomdp, Prob, check_symbol
+from .models import Mdp, Pomdp, Prob, check_integer, check_symbol
 
 #: Reward for entering a goal state; all other states yield 0.
 GOAL_REWARD = 100.0
@@ -451,13 +451,9 @@ class Environment:
         max_steps: int = DEFAULT_MAX_STEPS,
         name: str = "pomdp",
     ):
-        if not isinstance(max_steps, int) or isinstance(max_steps, bool) or max_steps < 1:
-            raise ValueError(
-                f"max_steps must be an integer of at least 1, got {max_steps!r}"
-            )
         self.pomdp = pomdp
         self.name = name
-        self.max_steps = max_steps
+        self.max_steps = check_integer(max_steps, "max_steps", 1)
         self.actions = pomdp.mdp.actions
         self._initial = _state_rows(pomdp)[pomdp.mdp.initial]
         self._rng = seeded_generator(seed)

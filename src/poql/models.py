@@ -41,6 +41,15 @@ def check_symbol(token: str) -> str:
     return sys.intern(token)
 
 
+def check_integer(value, what: str, least: int | None = None) -> int:
+    """`value` if it is an integer, not a bool, of at least `least`."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or least is not None and value < least):
+        floor = "" if least is None else f" of at least {least}"
+        raise ValueError(f"{what} must be an integer{floor}, got {value!r}")
+    return value
+
+
 def _check_distribution(dist: Mapping[int, Prob], what: str) -> None:
     total = sum(dist.values())
     if abs(float(total) - 1.0) > PROB_SUM_TOL:
@@ -109,29 +118,6 @@ class Pomdp:
         return self.reward_fn.get(state, 0.0)
 
 
-def label_determinism_violations(
-    label: Mapping[int, str],
-    trans: Mapping[tuple[int, str], Mapping[int, Prob]],
-) -> list[tuple[int, str, int, int]]:
-    """Return (state, action, succ1, succ2) tuples violating label determinism.
-
-    A labeled model is deterministic when, for every state and action, no two
-    successors with positive probability carry the same label.
-    """
-    bad = []
-    for (s, a), dist in trans.items():
-        seen: dict[str, int] = {}
-        for succ, p in dist.items():
-            if p <= 0:
-                continue
-            lbl = label[succ]
-            if lbl in seen and seen[lbl] != succ:
-                bad.append((s, a, seen[lbl], succ))
-            else:
-                seen[lbl] = succ
-    return bad
-
-
 @dataclass(frozen=True)
 class DeterministicLabeledMdp:
     """Labeled MDP where successor labels identify successors uniquely.
@@ -157,33 +143,31 @@ class DeterministicLabeledMdp:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "states", tuple(self.label))
-        state_set = set(self.states)
-        if self.initial not in state_set:
+        if self.initial not in self.label:
             raise ValueError(f"initial state {self.initial} not among states")
-        for (s, a), dist in self.trans.items():
-            if s not in state_set or a not in self.actions:
-                raise ValueError(f"transition from unknown ({s}, {a!r})")
-            _check_distribution(dist, f"trans({s}, {a!r})")
-            if not set(dist) <= state_set:
-                raise ValueError(f"trans({s}, {a!r}) targets unknown states")
-        bad = label_determinism_violations(self.label, self.trans)
-        if bad:
-            s, a, s1, s2 = bad[0]
-            raise ValueError(
-                f"label determinism violated at ({s}, {a!r}): "
-                f"successors {s1} and {s2} share label {self.label[s1]!r}"
-            )
         # One shared key ExtendedState(label[s], s, True) per state, and per
-        # defined step (key, action, successor label) -> the successor's key;
-        # sound because of the determinism invariant checked above.
+        # defined step (key, action, successor label) -> the successor's key.
+        # Filling that table checks label determinism: a row's second
+        # successor with a label already taken is refused.
         keys = {s: ExtendedState(self.label[s], s, True) for s in self.states}
         object.__setattr__(self, "_initial_key", keys[self.initial])
+        successors = self._successors
         for (s, a), dist in self.trans.items():
+            if s not in keys or a not in self.actions:
+                raise ValueError(f"transition from unknown ({s}, {a!r})")
+            _check_distribution(dist, f"trans({s}, {a!r})")
+            if not dist.keys() <= keys.keys():
+                raise ValueError(f"trans({s}, {a!r}) targets unknown states")
             key = keys[s]
             for succ, p in dist.items():
                 if p > 0:
                     nxt = keys[succ]
-                    self._successors[(key, a, nxt.obs)] = nxt
+                    other = successors.setdefault((key, a, nxt.obs), nxt)
+                    if other is not nxt:
+                        raise ValueError(
+                            f"label determinism violated at ({s}, {a!r}): "
+                            f"successors {other.state} and {succ} share label {nxt.obs!r}"
+                        )
 
     @classmethod
     def from_counts(cls, initial: int, actions: Iterable[str], label: Mapping[int, str],

@@ -104,6 +104,40 @@ MUTANTS = [
         ("tests/test_beliefs.py::test_optimal_expected_steps_is_inf_behind_a_trap",
          "tests/test_beliefs.py::test_optimal_expected_steps_is_inf_when_the_only_other_action_loops"),
     ),
+    Mutant(
+        "compatible-expands-b", "src/poql/learn.py",
+        "        r, b = pairs.pop()\n",
+        "        r, b = pairs.pop()\n        b.expand()\n",
+        ("tests/test_learn.py::test_compatible_mutates_neither_tree",),
+    ),
+    Mutant(
+        "freq-returns-children", "src/poql/learn.py",
+        "        return MappingProxyType({key: edge[0] for key, edge in self.edges.items()})\n",
+        "        return MappingProxyType({key: edge[1] for key, edge in self.edges.items()})\n",
+        ("tests/test_learn.py::test_iofpta_edge_mass_counts_every_step",),
+    ),
+    Mutant(
+        "greedy-memo-stores-a-drawn-tie", "src/poql/agent.py",
+        "            choice = greedy[state] = greedy_choice(q.get(state), len(actions))\n",
+        "            choice = greedy_choice(q.get(state), len(actions))\n"
+        "            if type(choice) is not int:\n"
+        "                choice = choice[randbelow(len(choice), rng)]\n"
+        "            greedy[state] = choice\n",
+        ("tests/test_agent.py::test_get_action_matches_the_tie_list_rule",),
+    ),
+    Mutant(
+        "fold-drops-a-count", "src/poql/learn.py",
+        "                    t_edge[0] += s_edge[0]\n",
+        "                    t_edge[0] += s_edge[0] - (s_edge[0] > 1)\n",
+        ("tests/test_agent.py::test_train_matches_the_reference_trainer",),
+    ),
+    Mutant(
+        "label-clash-accepted", "src/poql/models.py",
+        "                    if other is not nxt:\n",
+        "                    if False:\n",
+        ("tests/test_models.py::test_dlmdp_rejects_label_nondeterminism",
+         "tests/test_cli.py::test_eval_refuses_model_values_that_no_model_has[shared-label]"),
+    ),
 ]
 
 

@@ -55,6 +55,13 @@ def test_observation_probabilities_sum_to_one(beverage_chain_world):
             assert abs(float(total) - 1.0) < 1e-9
 
 
+def test_belief_refuses_a_negative_weight_and_a_sum_other_than_one():
+    with pytest.raises(ValueError, match="belief: negative probability"):
+        Belief({0: Fraction(3, 2), 1: Fraction(-1, 2)})
+    with pytest.raises(ValueError, match="belief: distribution sums to 0.5, not 1"):
+        Belief({0: Fraction(1, 2)})
+
+
 # ---------------------------------------------------------------------------
 # belief_update
 # ---------------------------------------------------------------------------

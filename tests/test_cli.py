@@ -719,6 +719,15 @@ def _add_zero_count_edge(model):
     model["transitions"].append(dict(entry, dst=entry["src"], count=0))
 
 
+def _share_a_label(model):
+    """Give one successor of a two-edge row the label of the other."""
+    first = _first_of_a_two_edge_row(model)
+    second = next(t for t in model["transitions"] if t is not first
+                  and (t["src"], t["action"]) == (first["src"], first["action"]))
+    labels = {state["id"]: state for state in model["states"]}
+    labels[second["dst"]]["label"] = labels[first["dst"]]["label"]
+
+
 @pytest.mark.parametrize("edit,message", [
     pytest.param(lambda m: _edit_state_id(m, 1, "1"), "state id must be an integer, got '1'",
                  id="string-id"),
@@ -735,6 +744,7 @@ def _add_zero_count_edge(model):
     pytest.param(_double_count_and_total, "transition (1, 'button'): total ", id="total"),
     pytest.param(lambda m: m["transitions"][0].update(dst=77),
                  "trans(0, 'button') targets unknown states", id="unknown-dst"),
+    pytest.param(_share_a_label, "label determinism violated at (", id="shared-label"),
     pytest.param(lambda m: m["actions"].append('say "hi"'),
                  """invalid symbol 'say "hi"': need a non-whitespace token""",
                  id="action-symbol"),
