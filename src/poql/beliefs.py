@@ -10,9 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .models import DeterministicLabeledMdp, Mdp, Pomdp, Prob, _check_distribution
+
+#: optimal_expected_steps stops after a sweep that changes no value by
+#: STEPS_TOL or more, or after STEPS_MAX_ITER sweeps.
+STEPS_TOL, STEPS_MAX_ITER = 1e-10, 1_000_000
 
 
 class ImpossibleObservation(ValueError):
@@ -195,7 +199,7 @@ def belief_mdp_as_mdp(bmdp: BeliefMdp) -> Mdp:
 
 def value_iteration(
     mdp: Mdp,
-    reward_fn: Mapping[int, float] | Callable[[int], float],
+    reward_fn: Mapping[int, float],
     gamma: float,
     tol: float,
     terminal_states: frozenset[int] | set[int] = frozenset(),
@@ -211,7 +215,6 @@ def value_iteration(
         raise ValueError(f"gamma must be in [0, 1), got {gamma}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    reward = reward_fn if callable(reward_fn) else lambda s: reward_fn.get(s, 0.0)
     values = {s: 0.0 for s in mdp.states}
     live = [s for s in mdp.states if s not in terminal_states]
 
@@ -219,7 +222,7 @@ def value_iteration(
         total = 0.0
         for succ, p in mdp.distribution(s, a).items():
             fp = float(p)
-            total += fp * reward(succ)
+            total += fp * reward_fn.get(succ, 0.0)
             if succ not in terminal_states:
                 total += fp * gamma * values[succ]
         return total
@@ -246,8 +249,6 @@ def value_iteration(
 def optimal_expected_steps(
     mdp: Mdp,
     goal_states: frozenset[int] | set[int],
-    tol: float = 1e-10,
-    max_iter: int = 1_000_000,
 ) -> dict[int, float]:
     """Minimal expected number of steps to reach a goal state, per state.
 
@@ -279,7 +280,7 @@ def optimal_expected_steps(
     live = _reach_goal_almost_surely(rows, exits)
     steps = [math.inf if k in rows and k not in live else 0.0 for k in range(len(mdp.states))]
     sweep = [(k, state_rows) for k, state_rows in rows.items() if k in live]
-    for _ in range(max_iter):
+    for _ in range(STEPS_MAX_ITER):
         residual = 0.0
         for k, state_rows in sweep:
             best = math.inf
@@ -293,7 +294,7 @@ def optimal_expected_steps(
             if change > residual:
                 residual = change
             steps[k] = best
-        if residual < tol:
+        if residual < STEPS_TOL:
             break
     return dict(zip(mdp.states, steps))
 

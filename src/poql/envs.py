@@ -18,6 +18,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Hashable, Mapping
 
 from .models import Mdp, Pomdp, Prob, check_integer, check_symbol
@@ -45,7 +46,8 @@ class GridSpec:
     adjacent cells whose shared edge cannot be crossed.
     `slip` is the probability, in every cell, of slipping to a perpendicular
     direction; `sticky` gives per-edge probabilities that a crossing fails
-    and leaves the position unchanged.
+    and leaves the position unchanged. An edge may name its cells in either
+    order; both fields store it smaller cell first.
     """
 
     blocked: frozenset[tuple[Cell, Cell]]
@@ -63,6 +65,19 @@ class GridSpec:
         for edge, p in self.sticky.items():
             if not 0 <= p <= 1:
                 raise ValueError(f"sticky probability {p} at {edge} outside [0, 1]")
+        sticky = {self._edge(edge): p for edge, p in self.sticky.items()}
+        if len(sticky) < len(self.sticky):
+            raise ValueError("sticky gives an edge twice, once in each order")
+        object.__setattr__(self, "blocked", frozenset(map(self._edge, self.blocked)))
+        object.__setattr__(self, "sticky", sticky)
+
+    def _edge(self, pair: tuple[Cell, Cell]) -> tuple[Cell, Cell]:
+        """`pair` smaller cell first, if it joins two adjacent traversable cells."""
+        a, b = sorted(pair)
+        if (a not in self.room_of or b not in self.room_of
+                or abs(a[0] - b[0]) + abs(a[1] - b[1]) != 1):
+            raise ValueError(f"edge {pair} does not join two adjacent traversable cells")
+        return a, b
 
     def move(self, cell: Cell, action: str) -> Cell | None:
         """Target of a move, or None when blocked by a wall or the boundary."""
@@ -133,45 +148,28 @@ class World:
 def grid_pomdp(spec: GridSpec, *, bump_obs: str | None = None) -> World:
     """Ground-truth POMDP for a grid layout.
 
-    Moving into a wall leaves the position unchanged. When bump_obs is given,
-    every state carries a bumped flag and blocked moves are observed as
-    bump_obs; this is how a maze can signal walls without revealing position.
+    Hidden states are (cell, bumped) pairs. Moving into a wall leaves the
+    position unchanged. When bump_obs is given, a blocked move sets the
+    bumped flag and is observed as bump_obs, so a maze can signal walls
+    without revealing position; without it the flag is always False.
     A slip replaces the chosen action by a uniformly chosen perpendicular one.
     """
+    bump = bump_obs is not None  # the flag a blocked move sets
+    flags = (False, True) if bump else (False,)
     order = sorted(spec.room_of, key=lambda c: (c[1], c[0]))
-    keys: list[Hashable]
-    if bump_obs is None:
-        keys = list(order)
-    else:
-        keys = [(c, bumped) for bumped in (False, True) for c in order]
-    state_of = {k: i for i, k in enumerate(keys)}
+    state_of = {(c, f): i for i, (f, c) in enumerate(product(flags, order))}
+    obs_fn = {sid: check_symbol(bump_obs if bumped else spec.room_of[cell])
+              for (cell, bumped), sid in state_of.items()}
 
-    def cell_of(key: Hashable) -> Cell:
-        return key if bump_obs is None else key[0]
-
-    obs_fn: dict[int, str] = {}
-    for key, sid in state_of.items():
-        if bump_obs is not None and key[1]:
-            obs_fn[sid] = check_symbol(bump_obs)
-        else:
-            obs_fn[sid] = check_symbol(spec.room_of[cell_of(key)])
-
-    def landings(key: Hashable, direction: str) -> list[tuple[Hashable, Fraction]]:
-        cell = cell_of(key)
+    def landings(cell: Cell, direction: str) -> list[tuple[tuple[Cell, bool], Fraction]]:
         target = spec.move(cell, direction)
         if target is None:
-            blocked_key = key if bump_obs is None else (cell, True)
-            return [(blocked_key, Fraction(1))]
+            return [((cell, bump), Fraction(1))]
         fail = spec.sticky.get(tuple(sorted((cell, target))), Fraction(0))
-        landed = target if bump_obs is None else (target, False)
-        stayed = cell if bump_obs is None else (cell, False)
-        out = [(landed, 1 - fail)]
-        if fail > 0:
-            out.append((stayed, fail))
-        return out
+        return [((target, False), 1 - fail), ((cell, False), fail)]
 
     delta: dict[tuple[int, str], dict[int, Prob]] = {}
-    for key, sid in state_of.items():
+    for (cell, _), sid in state_of.items():
         for action in GRID_ACTIONS:
             directions = [(action, 1 - spec.slip)]
             if spec.slip > 0:
@@ -179,20 +177,16 @@ def grid_pomdp(spec: GridSpec, *, bump_obs: str | None = None) -> World:
                 directions += [(p1, spec.slip / 2), (p2, spec.slip / 2)]
             dist: dict[int, Prob] = {}
             for direction, p in directions:
-                if p == 0:
-                    continue
-                for landed, q in landings(key, direction):
+                for landed, q in landings(cell, direction):
                     if p * q == 0:
                         continue
                     succ = state_of[landed]
                     dist[succ] = dist.get(succ, Fraction(0)) + p * q
             delta[(sid, action)] = dist
 
-    start_key = spec.start if bump_obs is None else (spec.start, False)
-    goal_key = spec.goal if bump_obs is None else (spec.goal, False)
-    goal_id = state_of[goal_key]
+    goal_id = state_of[(spec.goal, False)]
     pomdp = Pomdp(
-        mdp=Mdp(tuple(range(len(keys))), state_of[start_key],
+        mdp=Mdp(tuple(range(len(state_of))), state_of[(spec.start, False)],
                 GRID_ACTIONS, delta),
         obs_fn=obs_fn,
         reward_fn={goal_id: GOAL_REWARD},
@@ -283,7 +277,7 @@ def _office_spec(aliased: bool) -> GridSpec:
         for x in range(6) for y in range(6)
     }
     return GridSpec(
-        blocked=frozenset(tuple(sorted(p)) for p in blocked),
+        blocked=frozenset(blocked),
         room_of=room_of,
         start=(0, 0),
         goal=(3, 3) if aliased else (5, 5),
@@ -309,55 +303,36 @@ def gravity_world() -> World:
     corner turns gravity off for the rest of the episode. The goal sits at
     the top of the start column, so the direct climb is a coin-flip random
     walk, while the toggle route is deterministic after the floor traversal.
+    Hidden states are (cell, gravity off) pairs.
     """
     # The height lets blindly repeating `up` from the start reach the goal
     # within the step cap in about half of all episodes.
     width, height = 6, 12
-    column = [(0, y) for y in range(height)]
-    floor = [(x, height - 1) for x in range(1, width)]
-    cells = column + floor
-    cell_set = set(cells)
     toggle = (width - 1, height - 1)
-    goal = (0, 0)
-    start = (0, height - 1)
-    keys = [(c, g) for g in (0, 1) for c in cells]
-    state_of = {k: i for i, k in enumerate(keys)}
-
-    def obs_of(cell: Cell) -> str:
-        if cell == goal:
-            return "cookie"
-        if cell == toggle:
-            return "toggle"
-        if cell[1] == height - 1:
-            return "floor"
-        return "air"
-
-    def move(cell: Cell, action: str) -> Cell:
-        dx, dy = _MOVES[action]
-        target = (cell[0] + dx, cell[1] + dy)
-        return target if target in cell_set else cell
+    room_of = {(0, y): "air" for y in range(height - 1)}
+    room_of |= {(x, height - 1): "floor" for x in range(width)}
+    room_of |= {(0, 0): "cookie", toggle: "toggle"}
+    spec = GridSpec(frozenset(), room_of, start=(0, height - 1), goal=(0, 0))
+    state_of = {(c, off): i for i, (off, c) in enumerate(product((False, True), spec.room_of))}
 
     half = Fraction(1, 2)
     delta: dict[tuple[int, str], dict[int, Prob]] = {}
-    for (cell, g), sid in state_of.items():
+    for (cell, off), sid in state_of.items():
+        pull = spec.move(cell, "down") or cell
         for action in GRID_ACTIONS:
-            intended = move(cell, action)
-            if g == 1:
-                landings = [(intended, Fraction(1))]
-            else:
-                landings = [(intended, half), (move(cell, "down"), half)]
+            intended = spec.move(cell, action) or cell
+            landings = [(intended, Fraction(1))] if off else [(intended, half), (pull, half)]
             dist: dict[int, Prob] = {}
             for land, p in landings:
-                g_next = 1 if (g == 1 or land == toggle) else 0
-                succ = state_of[(land, g_next)]
+                succ = state_of[(land, off or land == toggle)]
                 dist[succ] = dist.get(succ, Fraction(0)) + p
             delta[(sid, action)] = dist
 
-    obs_fn = {sid: obs_of(cell) for (cell, _), sid in state_of.items()}
-    goal_ids = frozenset({state_of[(goal, 0)], state_of[(goal, 1)]})
+    goal_ids = frozenset({state_of[(spec.goal, False)], state_of[(spec.goal, True)]})
     pomdp = Pomdp(
-        mdp=Mdp(tuple(range(len(keys))), state_of[(start, 0)], GRID_ACTIONS, delta),
-        obs_fn=obs_fn,
+        mdp=Mdp(tuple(range(len(state_of))), state_of[(spec.start, False)],
+                GRID_ACTIONS, delta),
+        obs_fn={sid: spec.room_of[cell] for (cell, _), sid in state_of.items()},
         reward_fn={sid: GOAL_REWARD for sid in goal_ids},
         goal_states=goal_ids,
     )
@@ -374,7 +349,7 @@ def _thinmaze_spec() -> GridSpec:
             if x != open_x:
                 blocked.add(((x, y), (x, y + 1)))
     return GridSpec(
-        blocked=frozenset(tuple(sorted(p)) for p in blocked),
+        blocked=frozenset(blocked),
         room_of={(x, y): ("cookie" if (x, y) == (3, 3) else "corridor")
                  for x in range(6) for y in range(4)},
         start=(0, 0),

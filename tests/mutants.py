@@ -138,6 +138,25 @@ MUTANTS = [
         ("tests/test_models.py::test_dlmdp_rejects_label_nondeterminism",
          "tests/test_cli.py::test_eval_refuses_model_values_that_no_model_has[shared-label]"),
     ),
+    Mutant(
+        "bump-leaves-flag-clear", "src/poql/envs.py",
+        "            return [((cell, bump), Fraction(1))]\n",
+        "            return [((cell, False), Fraction(1))]\n",
+        ("tests/test_envs.py::test_thinmaze_wall_bump_keeps_position",),
+    ),
+    Mutant(
+        "gravity-pulls-up", "src/poql/envs.py",
+        '        pull = spec.move(cell, "down") or cell\n',
+        '        pull = spec.move(cell, "up") or cell\n',
+        ("tests/test_envs.py::test_gravity_pulls_down_half_the_time_before_toggle",
+         "tests/test_envs.py::test_gravity_oracle_is_twenty_six"),
+    ),
+    Mutant(
+        "grid-edges-stored-as-given", "src/poql/envs.py",
+        '        object.__setattr__(self, "blocked", frozenset(map(self._edge, self.blocked)))\n',
+        "        frozenset(map(self._edge, self.blocked))\n",
+        ("tests/test_envs.py::test_grid_spec_wall_blocks_whichever_cell_comes_first",),
+    ),
 ]
 
 

@@ -1,5 +1,8 @@
 import _random
+import hashlib
+import json
 import random
+import re
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -185,8 +188,8 @@ def test_confusing_officeworld_reuses_labels_diagonally():
     assert counts == {"Room1": 18, "Room2": 18}
     # diagonal pairing: start corner and goal corner share an observation
     obs = world.pomdp.obs_fn
-    assert obs[world.state_of[(0, 0)]] == obs[world.state_of[(5, 5)]]
-    assert obs[world.state_of[(5, 0)]] == obs[world.state_of[(0, 5)]]
+    assert obs[world.state_of[((0, 0), False)]] == obs[world.state_of[((5, 5), False)]]
+    assert obs[world.state_of[((5, 0), False)]] == obs[world.state_of[((0, 5), False)]]
 
 
 def test_thinmaze_has_at_most_three_observations():
@@ -336,6 +339,51 @@ def test_step_draws_the_successors_of_a_bisect_walk_over_delta(name, params):
         env.step(env.actions[0])
 
 
+_POMDP_CASES = {
+    **{name: {} for name in ENVIRONMENT_NAMES if name != "grid"},
+    "hot_beverage-p": {"p_t": Fraction(3, 10), "p_cc": Fraction(1, 4), "p_tt": Fraction(3, 4)},
+    "grid-slip": {"layout": GRID_TEXT, "slip": Fraction(1, 5)},
+}
+
+GOLDEN_POMDPS = {
+    "confusing_officeworld": "9fa175073bf48ae0b7692ea300522dff6c27e7fc8581bbb368e51633e7e0ae6d",
+    "gravity": "28236bef80cc2e53afa49cea93c06f9018cbb042a8625434a2e099bf4ef366e7",
+    "hot_beverage": "22509d088e1e079093bb468f6b22799c819690560fdd81335a24501059c686a9",
+    "officeworld": "f0ff7a123b1674836c679d5f4701935c215b9aae94ad94448628d69086d2ea72",
+    "thinmaze": "88e35d0902e84ce7a0d81c2e2adb1742e2f3d73238be510f8be817fe52a1848e",
+    "hot_beverage-p": "0b55358d0609d9dc5000f1dfea72edd24c828612082f4d737104cda3970a18a0",
+    "grid-slip": "11f94b96050144f2b284becae4670a38cb1f2346d717e3797a17969b6e5cc24c",
+}
+
+
+def _pomdp_digest(pomdp) -> str:
+    """sha256 of canonical JSON holding the whole POMDP: every mapping in its
+    own order except the goal set, probabilities as exact fractions."""
+    mdp = pomdp.mdp
+    blob = json.dumps({
+        "states": list(mdp.states),
+        "initial": mdp.initial,
+        "actions": list(mdp.actions),
+        "delta": [[s, a, [[t, str(p)] for t, p in dist.items()]]
+                  for (s, a), dist in mdp.delta.items()],
+        "obs_fn": list(pomdp.obs_fn.items()),
+        "reward_fn": list(pomdp.reward_fn.items()),
+        "goal_states": sorted(pomdp.goal_states),
+    }, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_builtin_pomdps_match_golden_digests():
+    """Every built-in environment, parameters included, builds exactly the
+    POMDP it always has: state ids, successor order, observations, rewards
+    and goals."""
+    digests = {}
+    for case, params in _POMDP_CASES.items():
+        name = case.split("-")[0]
+        digests[case] = _pomdp_digest(make_environment(name, seed=0, **params).pomdp)
+    assert digests == GOLDEN_POMDPS
+
+
 def test_grid_text_parses_layout():
     spec = GridSpec.from_text(GRID_TEXT)
     assert {x for x, _ in spec.room_of} == set(range(5))
@@ -382,7 +430,7 @@ def test_grid_text_takes_only_ascii_room_digits():
 def test_grid_slip_is_one_probability_for_every_cell():
     spec = GridSpec.from_text("S.G", slip=Fraction(1, 5))
     world = grid_pomdp(spec)
-    start, middle = world.state_of[(0, 0)], world.state_of[(1, 0)]
+    start, middle = world.state_of[((0, 0), False)], world.state_of[((1, 0), False)]
     # A slip to up or down hits the boundary and stays put.
     assert world.pomdp.mdp.distribution(start, "right") == {
         start: Fraction(1, 5), middle: Fraction(4, 5)}
@@ -393,6 +441,37 @@ def test_grid_slip_is_one_probability_for_every_cell():
 def test_grid_pomdp_takes_bump_obs_by_keyword_only():
     with pytest.raises(TypeError):
         grid_pomdp(GridSpec.from_text("S.G"), "x")
+
+
+_ROW = {(0, 0): "floor", (1, 0): "floor", (2, 0): "goal"}
+
+
+def test_grid_spec_wall_blocks_whichever_cell_comes_first():
+    spec = GridSpec(frozenset({((1, 0), (0, 0))}), _ROW, start=(0, 0), goal=(2, 0))
+    assert spec.blocked == frozenset({((0, 0), (1, 0))})
+    assert spec.move((0, 0), "right") is None
+    assert spec.move((1, 0), "left") is None
+    assert spec.move((1, 0), "right") == (2, 0)
+
+
+def test_grid_spec_sticky_edge_sticks_whichever_cell_comes_first():
+    spec = GridSpec(frozenset(), _ROW, start=(0, 0), goal=(2, 0),
+                    sticky={((1, 0), (0, 0)): Fraction(1, 4)})
+    world = grid_pomdp(spec)
+    start, middle = world.state_of[((0, 0), False)], world.state_of[((1, 0), False)]
+    assert world.pomdp.mdp.distribution(start, "right") == {
+        middle: Fraction(3, 4), start: Fraction(1, 4)}
+    with pytest.raises(ValueError, match="twice"):
+        GridSpec(frozenset(), _ROW, start=(0, 0), goal=(2, 0),
+                 sticky={((0, 0), (1, 0)): Fraction(1, 4), ((1, 0), (0, 0)): Fraction(1, 2)})
+
+
+@pytest.mark.parametrize("pair", [((0, 0), (2, 0)), ((1, 0), (1, 1)), ((0, 0), (0, 0))],
+                         ids=["apart", "solid", "same"])
+def test_grid_spec_refuses_an_edge_between_cells_that_do_not_touch(pair):
+    for blocked, sticky in [({pair}, {}), (set(), {pair: Fraction(1, 2)})]:
+        with pytest.raises(ValueError, match=re.escape(f"edge {pair} does not join")):
+            GridSpec(frozenset(blocked), _ROW, start=(0, 0), goal=(2, 0), sticky=sticky)
 
 
 def test_grid_text_requires_rectangular_rows():
