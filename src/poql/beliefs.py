@@ -12,11 +12,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .models import DeterministicLabeledMdp, Mdp, Pomdp, Prob, _check_distribution
+from .models import (
+    DeterministicLabeledMdp, Mdp, Pomdp, Prob, _check_distribution, check_integer)
 
-#: optimal_expected_steps stops after a sweep that changes no value by
-#: STEPS_TOL or more, or after STEPS_MAX_ITER sweeps.
-STEPS_TOL, STEPS_MAX_ITER = 1e-10, 1_000_000
+#: value_iteration stops after a sweep that changes no value by VALUE_TOL or
+#: more; optimal_expected_steps after one that changes none by STEPS_TOL or
+#: more, or after STEPS_MAX_ITER sweeps.
+VALUE_TOL, STEPS_TOL, STEPS_MAX_ITER = 1e-12, 1e-10, 1_000_000
 
 
 class ImpossibleObservation(ValueError):
@@ -34,18 +36,14 @@ class Belief:
             raise ValueError("belief must have nonempty support")
         _check_distribution(self.support, "belief")
 
-    def items(self):
-        return sorted(self.support.items())
-
     def key(self) -> tuple:
-        """Canonical identity for deduplication during belief-space search.
-
-        Exact when probabilities are Fractions; otherwise probabilities are
-        quantized well below the 1e-9 identification tolerance.
-        """
-        if all(isinstance(p, Fraction) for p in self.support.values()):
-            return tuple(self.items())
-        return tuple((s, round(float(p), 10)) for s, p in self.items())
+        """Canonical identity for deduplication during belief-space search:
+        exact for Fractions, else each weight rounded to 10 decimal places, so
+        near-equal beliefs whose weights straddle a rounding step still differ."""
+        items = sorted(self.support.items())
+        if all(isinstance(p, Fraction) for _, p in items):
+            return tuple(items)
+        return tuple((s, round(float(p), 10)) for s, p in items)
 
 
 def initial_belief(pomdp: Pomdp) -> Belief:
@@ -121,68 +119,50 @@ class BeliefMdp:
 def build_belief_mdp(pomdp: Pomdp, max_states: int = 10_000) -> BeliefMdp:
     """Breadth-first closure of the beliefs reachable from {s0 -> 1}.
 
-    Beliefs equal within 1e-9 (exactly, for rational inputs) are identified.
-    Branches of probability 0 are dropped; float branch probabilities are
-    renormalized to sum to 1. A state is only expanded if all its
-    successor beliefs fit within max_states; otherwise it becomes absorbing
-    and the result is flagged truncated.
+    Beliefs with equal keys (Belief.key) are identified: for floats, those
+    whose weights round alike to 10 decimal places. Branches of probability
+    0 are dropped; float branch probabilities are renormalized to sum to 1.
+    A belief is expanded in one pass, and only if all its new successor
+    beliefs fit within max_states; otherwise it becomes an absorbing
+    self-loop and the result is flagged truncated.
     """
-    if max_states < 1:
-        raise ValueError("max_states must be at least 1")
+    check_integer(max_states, "max_states", 1)
     b0 = initial_belief(pomdp)
     beliefs = [b0]
     index = {b0.key(): 0}
-    label = {0: pomdp.obs_fn[pomdp.mdp.initial]}
     trans: dict[tuple[int, str], dict[int, Prob]] = {}
     truncated = False
-
-    cursor = 0
-    while cursor < len(beliefs):
-        sid = cursor
-        b = beliefs[sid]
-        cursor += 1
+    for sid, b in enumerate(beliefs):
         # Compute all successor beliefs first so the budget check is atomic.
-        outgoing: list[tuple[str, list[tuple[Belief, Prob]]]] = []
-        fresh: list[Belief] = []
-        fresh_keys = set()
+        outgoing: list[tuple[str, list[tuple[tuple, Prob]]]] = []
+        fresh: dict[tuple, Belief] = {}
         for a in pomdp.mdp.actions:
-            branches: list[tuple[Belief, Prob]] = []
+            branches: list[tuple[tuple, Prob]] = []
             for obs in pomdp.observations:
                 nb, p = _successor(b, a, obs, pomdp)
                 if p > 0:
-                    branches.append((nb, p))
+                    k = nb.key()
+                    branches.append((k, p))
+                    if k not in index:
+                        fresh.setdefault(k, nb)
             kept = sum(p for _, p in branches)
             if float(kept) != 1.0:
-                branches = [(nb, p / kept) for nb, p in branches]
+                branches = [(k, p / kept) for k, p in branches]
             outgoing.append((a, branches))
-            for nb, _ in branches:
-                k = nb.key()
-                if k not in index and k not in fresh_keys:
-                    fresh_keys.add(k)
-                    fresh.append(nb)
         if len(beliefs) + len(fresh) > max_states:
             truncated = True
-            for a in pomdp.mdp.actions:
-                trans[(sid, a)] = {sid: Fraction(1)}
-            continue
-        for nb in fresh:
-            nid = len(beliefs)
-            beliefs.append(nb)
-            index[nb.key()] = nid
-            support = next(iter(nb.support))
-            label[nid] = pomdp.obs_fn[support]
+            loop = [(b.key(), Fraction(1))]
+            outgoing = [(a, loop) for a in pomdp.mdp.actions]
+        else:
+            for k, nb in fresh.items():
+                index[k] = len(beliefs)
+                beliefs.append(nb)
         for a, branches in outgoing:
-            dist: dict[int, Prob] = {}
-            for nb, p in branches:
-                dist[index[nb.key()]] = p
-            trans[(sid, a)] = dist
+            trans[(sid, a)] = {index[k]: p for k, p in branches}
 
-    model = DeterministicLabeledMdp(
-        initial=0,
-        actions=pomdp.mdp.actions,
-        label=label,
-        trans=trans,
-    )
+    label = {s: pomdp.obs_fn[next(iter(b.support))] for s, b in enumerate(beliefs)}
+    model = DeterministicLabeledMdp(initial=0, actions=pomdp.mdp.actions, label=label,
+                                    trans=trans)
     return BeliefMdp(model, dict(enumerate(beliefs)), truncated)
 
 
@@ -201,7 +181,6 @@ def value_iteration(
     mdp: Mdp,
     reward_fn: Mapping[int, float],
     gamma: float,
-    tol: float,
     terminal_states: frozenset[int] | set[int] = frozenset(),
 ) -> tuple[dict[int, float], dict[int, str]]:
     """Optimal state values and a greedy policy for a known MDP.
@@ -209,12 +188,10 @@ def value_iteration(
     Rewards are earned on entering the successor state. Terminal states have
     value 0 and no policy entry: reaching one ends the episode, so nothing
     accrues beyond the entry reward. Iterates until the sup-norm residual
-    drops below tol.
+    drops below VALUE_TOL.
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must be in [0, 1), got {gamma}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     values = {s: 0.0 for s in mdp.states}
     live = [s for s in mdp.states if s not in terminal_states]
 
@@ -233,7 +210,7 @@ def value_iteration(
             best = max(backup(s, a) for a in mdp.actions)
             residual = max(residual, abs(best - values[s]))
             values[s] = best
-        if residual < tol:
+        if residual < VALUE_TOL:
             break
     policy: dict[int, str] = {}
     for s in live:

@@ -157,6 +157,18 @@ MUTANTS = [
         "        frozenset(map(self._edge, self.blocked))\n",
         ("tests/test_envs.py::test_grid_spec_wall_blocks_whichever_cell_comes_first",),
     ),
+    Mutant(
+        "belief-budget-off-by-one", "src/poql/beliefs.py",
+        "        if len(beliefs) + len(fresh) > max_states:\n",
+        "        if len(beliefs) + len(fresh) >= max_states:\n",
+        ("tests/test_beliefs.py::test_belief_mdp_matches_the_branch_by_branch_build",),
+    ),
+    Mutant(
+        "belief-known-key-counted-fresh", "src/poql/beliefs.py",
+        "                    if k not in index:\n",
+        "                    if True:\n",
+        ("tests/test_beliefs.py::test_belief_mdp_matches_the_branch_by_branch_build",),
+    ),
 ]
 
 

@@ -504,7 +504,7 @@ def test_evaluate_oracle_policy_matches_shortest_path():
     world = grid_pomdp(spec)
     pomdp = fully_observable(world.pomdp)
     env = Environment(pomdp, seed=0, name="grid")
-    _, policy = value_iteration(pomdp.mdp, pomdp.reward_fn, 0.9, 1e-12,
+    _, policy = value_iteration(pomdp.mdp, pomdp.reward_fn, 0.9,
                                 terminal_states=pomdp.goal_states)
     obs_to_state = {obs: s for s, obs in pomdp.obs_fn.items()}
 

@@ -62,6 +62,16 @@ def test_belief_refuses_a_negative_weight_and_a_sum_other_than_one():
         Belief({0: Fraction(1, 2)})
 
 
+def test_float_belief_key_rounds_each_weight_to_ten_decimal_places():
+    # Weights that round alike to 10 places share a key...
+    assert Belief({1: 0.25 + 1e-12, 2: 0.75 - 1e-12}).key() == Belief({1: 0.25, 2: 0.75}).key()
+    # ...but two beliefs 2e-14 apart whose weights straddle a rounding step do not.
+    x, y = 0.12345678905001, 0.12345678904999
+    near, far = Belief({1: x, 2: 1 - x}).key(), Belief({1: y, 2: 1 - y}).key()
+    assert near == ((1, 0.1234567891), (2, 0.8765432109))
+    assert far == ((1, 0.123456789), (2, 0.876543211))
+
+
 # ---------------------------------------------------------------------------
 # belief_update
 # ---------------------------------------------------------------------------
@@ -146,11 +156,11 @@ def test_injective_observations_recover_the_mdp(beverage_world):
     ground = Mdp(
         pomdp.mdp.states, pomdp.mdp.initial, pomdp.mdp.actions, pomdp.mdp.delta
     )
-    vals_ground, _ = value_iteration(ground, pomdp.reward_fn, 0.9, 1e-10,
+    vals_ground, _ = value_iteration(ground, pomdp.reward_fn, 0.9,
                                      terminal_states=pomdp.goal_states)
     as_mdp = belief_mdp_as_mdp(bmdp)
     reward = bmdp.reward_fn(pomdp)
-    vals_belief, _ = value_iteration(as_mdp, reward, 0.9, 1e-10,
+    vals_belief, _ = value_iteration(as_mdp, reward, 0.9,
                                      terminal_states=bmdp.goal_states(pomdp))
     for s, b in bmdp.belief_of_state.items():
         (q,) = b.support
@@ -160,6 +170,9 @@ def test_injective_observations_recover_the_mdp(beverage_world):
 def test_belief_mdp_max_states_validation(beverage_world):
     with pytest.raises(ValueError):
         build_belief_mdp(beverage_world.pomdp, max_states=0)
+    for budget in (2.5, True):
+        with pytest.raises(ValueError, match="max_states must be an integer"):
+            build_belief_mdp(beverage_world.pomdp, max_states=budget)
 
 
 def _reference_belief_mdp(pomdp, max_states):
@@ -248,13 +261,13 @@ def _chain_mdp(n):
 
 def test_value_iteration_one_step_to_goal():
     mdp = _chain_mdp(2)
-    values, _ = value_iteration(mdp, {1: 1.0}, 0.5, 1e-12, terminal_states={1})
+    values, _ = value_iteration(mdp, {1: 1.0}, 0.5, terminal_states={1})
     assert values[0] == pytest.approx(1.0)
 
 
 def test_value_iteration_two_steps_to_goal():
     mdp = _chain_mdp(3)
-    values, _ = value_iteration(mdp, {2: 1.0}, 0.5, 1e-12, terminal_states={2})
+    values, _ = value_iteration(mdp, {2: 1.0}, 0.5, terminal_states={2})
     assert values[0] == pytest.approx(0.5)
 
 
@@ -287,7 +300,7 @@ def test_value_iteration_greedy_matches_bfs_on_deterministic_grid():
     spec = GridSpec.from_text(layout)
     world = grid_pomdp(spec)
     pomdp = world.pomdp
-    _, policy = value_iteration(pomdp.mdp, pomdp.reward_fn, 0.9, 1e-12,
+    _, policy = value_iteration(pomdp.mdp, pomdp.reward_fn, 0.9,
                                 terminal_states=pomdp.goal_states)
     state = pomdp.mdp.initial
     steps = 0
@@ -300,7 +313,7 @@ def test_value_iteration_greedy_matches_bfs_on_deterministic_grid():
 
 def test_value_iteration_rejects_gamma_one(beverage_world):
     with pytest.raises(ValueError):
-        value_iteration(beverage_world.pomdp.mdp, {}, 1.0, 1e-9)
+        value_iteration(beverage_world.pomdp.mdp, {}, 1.0)
 
 
 def test_value_iteration_monotone_in_rewards():
@@ -318,10 +331,10 @@ def test_value_iteration_monotone_in_rewards():
                 delta[(s, a)] = dist
         mdp = Mdp(tuple(range(n)), 0, actions, delta)
         rewards = {s: rng.uniform(-1, 1) for s in range(n)}
-        base, _ = value_iteration(mdp, rewards, 0.8, 1e-12)
+        base, _ = value_iteration(mdp, rewards, 0.8)
         bumped = dict(rewards)
         bumped[rng.randrange(n)] += 0.5
-        more, _ = value_iteration(mdp, bumped, 0.8, 1e-12)
+        more, _ = value_iteration(mdp, bumped, 0.8)
         for s in range(n):
             assert more[s] >= base[s] - 1e-9
 
@@ -341,7 +354,7 @@ def test_memoryless_policy_gamma_threshold(beverage_world):
     goals = bmdp.goal_states(pomdp)
 
     def action_at_b1(gamma):
-        _, policy = value_iteration(mdp, reward, gamma, 1e-12, terminal_states=goals)
+        _, policy = value_iteration(mdp, reward, gamma, terminal_states=goals)
         return policy[1]
 
     lo, hi = 0.01, 0.99
