@@ -17,13 +17,9 @@ from .agent import (
 from .beliefs import (
     Belief,
     BeliefMdp,
-    ImpossibleObservation,
     belief_mdp_as_mdp,
-    belief_update,
     build_belief_mdp,
-    observation_probability,
     optimal_expected_steps,
-    value_iteration,
 )
 from .envs import (
     ENVIRONMENT_NAMES,

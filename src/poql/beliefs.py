@@ -1,4 +1,4 @@
-"""Exact belief-space construction and value iteration over known POMDPs.
+"""Exact belief-space construction and expected-step analysis of known POMDPs.
 
 Everything here is an oracle: it sees the ground-truth POMDP and exists to
 verify learned models and learned policies on small instances. All functions
@@ -15,14 +15,9 @@ from typing import Mapping
 from .models import (
     DeterministicLabeledMdp, Mdp, Pomdp, Prob, _check_distribution, check_integer)
 
-#: value_iteration stops after a sweep that changes no value by VALUE_TOL or
-#: more; optimal_expected_steps after one that changes none by STEPS_TOL or
-#: more, or after STEPS_MAX_ITER sweeps.
-VALUE_TOL, STEPS_TOL, STEPS_MAX_ITER = 1e-12, 1e-10, 1_000_000
-
-
-class ImpossibleObservation(ValueError):
-    """Raised when a belief is conditioned on an observation of probability 0."""
+#: optimal_expected_steps stops after a sweep that changes no value by
+#: STEPS_TOL or more, or after STEPS_MAX_ITER sweeps.
+STEPS_TOL, STEPS_MAX_ITER = 1e-10, 1_000_000
 
 
 @dataclass(frozen=True)
@@ -50,27 +45,13 @@ def initial_belief(pomdp: Pomdp) -> Belief:
     return Belief({pomdp.mdp.initial: Fraction(1)})
 
 
-def observation_probability(b: Belief, action: str, obs: str, pomdp: Pomdp) -> Prob:
-    """Probability of observing `obs` after executing `action` in belief `b`."""
-    return _successor(b, action, obs, pomdp)[1]
-
-
-def belief_update(b: Belief, action: str, obs: str, pomdp: Pomdp) -> Belief:
-    """Condition belief `b` on taking `action` and then observing `obs`."""
-    new, _ = _successor(b, action, obs, pomdp)
-    if new is None:
-        raise ImpossibleObservation(
-            f"observation {obs!r} has probability 0 after action {action!r}"
-        )
-    return new
-
-
 def _successor(
     b: Belief, action: str, obs: str, pomdp: Pomdp
 ) -> tuple[Belief | None, Prob]:
-    """(belief_update, observation_probability) of one branch in one pass,
-    the probability summed left to right over the belief's support and each
-    distribution; None for a branch of probability 0."""
+    """The belief after taking `action` in `b` and observing `obs`, and the
+    probability of that observation, in one pass: the probability summed left
+    to right over the belief's support and each distribution; None for a
+    branch of probability 0. Its one caller is build_belief_mdp."""
     norm = 0
     new: dict[int, Prob] = {}
     for s, w in b.support.items():
@@ -100,13 +81,6 @@ class BeliefMdp:
     belief_of_state: Mapping[int, Belief]
     truncated: bool
 
-    def reward_fn(self, pomdp: Pomdp) -> dict[int, float]:
-        """Expected ground reward of each belief state."""
-        return {
-            s: float(sum(w * pomdp.reward(q) for q, w in b.support.items()))
-            for s, b in self.belief_of_state.items()
-        }
-
     def goal_states(self, pomdp: Pomdp) -> frozenset[int]:
         """Belief states whose entire support lies in the POMDP's goal set."""
         return frozenset(
@@ -122,9 +96,9 @@ def build_belief_mdp(pomdp: Pomdp, max_states: int = 10_000) -> BeliefMdp:
     Beliefs with equal keys (Belief.key) are identified: for floats, those
     whose weights round alike to 10 decimal places. Branches of probability
     0 are dropped; float branch probabilities are renormalized to sum to 1.
-    A belief is expanded in one pass, and only if all its new successor
-    beliefs fit within max_states; otherwise it becomes an absorbing
-    self-loop and the result is flagged truncated.
+    A belief is expanded in one pass, which stops as soon as its new
+    successor beliefs no longer fit within max_states; such a belief becomes
+    an absorbing self-loop and the result is flagged truncated.
     """
     check_integer(max_states, "max_states", 1)
     b0 = initial_belief(pomdp)
@@ -133,7 +107,9 @@ def build_belief_mdp(pomdp: Pomdp, max_states: int = 10_000) -> BeliefMdp:
     trans: dict[tuple[int, str], dict[int, Prob]] = {}
     truncated = False
     for sid, b in enumerate(beliefs):
-        # Compute all successor beliefs first so the budget check is atomic.
+        # Compute the successor beliefs before numbering any, so the budget
+        # check is atomic, and stop as soon as the new ones cannot all fit.
+        room = max_states - len(beliefs)
         outgoing: list[tuple[str, list[tuple[tuple, Prob]]]] = []
         fresh: dict[tuple, Belief] = {}
         for a in pomdp.mdp.actions:
@@ -145,14 +121,15 @@ def build_belief_mdp(pomdp: Pomdp, max_states: int = 10_000) -> BeliefMdp:
                     branches.append((k, p))
                     if k not in index:
                         fresh.setdefault(k, nb)
+            if len(fresh) > room:
+                truncated = True
+                loop = [(b.key(), Fraction(1))]
+                outgoing = [(a, loop) for a in pomdp.mdp.actions]
+                break
             kept = sum(p for _, p in branches)
             if float(kept) != 1.0:
                 branches = [(k, p / kept) for k, p in branches]
             outgoing.append((a, branches))
-        if len(beliefs) + len(fresh) > max_states:
-            truncated = True
-            loop = [(b.key(), Fraction(1))]
-            outgoing = [(a, loop) for a in pomdp.mdp.actions]
         else:
             for k, nb in fresh.items():
                 index[k] = len(beliefs)
@@ -175,52 +152,6 @@ def belief_mdp_as_mdp(bmdp: BeliefMdp) -> Mdp:
             dist = model.successors(s, a)
             delta[(s, a)] = dict(dist) if dist else {s: Fraction(1)}
     return Mdp(model.states, model.initial, model.actions, delta)
-
-
-def value_iteration(
-    mdp: Mdp,
-    reward_fn: Mapping[int, float],
-    gamma: float,
-    terminal_states: frozenset[int] | set[int] = frozenset(),
-) -> tuple[dict[int, float], dict[int, str]]:
-    """Optimal state values and a greedy policy for a known MDP.
-
-    Rewards are earned on entering the successor state. Terminal states have
-    value 0 and no policy entry: reaching one ends the episode, so nothing
-    accrues beyond the entry reward. Iterates until the sup-norm residual
-    drops below VALUE_TOL.
-    """
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"gamma must be in [0, 1), got {gamma}")
-    values = {s: 0.0 for s in mdp.states}
-    live = [s for s in mdp.states if s not in terminal_states]
-
-    def backup(s: int, a: str) -> float:
-        total = 0.0
-        for succ, p in mdp.distribution(s, a).items():
-            fp = float(p)
-            total += fp * reward_fn.get(succ, 0.0)
-            if succ not in terminal_states:
-                total += fp * gamma * values[succ]
-        return total
-
-    while True:
-        residual = 0.0
-        for s in live:
-            best = max(backup(s, a) for a in mdp.actions)
-            residual = max(residual, abs(best - values[s]))
-            values[s] = best
-        if residual < VALUE_TOL:
-            break
-    policy: dict[int, str] = {}
-    for s in live:
-        best_a, best_v = None, None
-        for a in mdp.actions:
-            total = backup(s, a)
-            if best_v is None or total > best_v + 1e-12:
-                best_a, best_v = a, total
-        policy[s] = best_a
-    return values, policy
 
 
 def optimal_expected_steps(

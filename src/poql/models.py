@@ -75,6 +75,8 @@ class Mdp:
         state_set = set(self.states)
         if self.initial not in state_set:
             raise ValueError(f"initial state {self.initial} not among states")
+        if not self.actions:
+            raise ValueError("an MDP needs at least one action")
         for s in self.states:
             for a in self.actions:
                 dist = self.delta.get((s, a))

@@ -11,6 +11,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from poql.agent import (AgentConfig, EvalStats, RandomAgent, get_action, round_steps,
                         update_q_values)
+from poql.beliefs import Belief, BeliefMdp
 from poql.envs import Environment
 from poql.learn import Iofpta
 from poql.models import (DeterministicLabeledMdp, ExtendedState, Mdp, ObsTrace, Pomdp, Prob,
@@ -135,6 +136,96 @@ def fully_observable(pomdp: Pomdp) -> Pomdp:
         reward_fn=pomdp.reward_fn,
         goal_states=pomdp.goal_states,
     )
+
+
+class ImpossibleObservation(ValueError):
+    """Raised when a belief is conditioned on an observation of probability 0."""
+
+
+def observation_probability(b: Belief, action: str, obs: str, pomdp: Pomdp) -> Prob:
+    """Pr(obs | b, action): the sum of b(s) * delta(s, action)(s') over the
+    successors s' that emit `obs`, taken over the belief's support, then
+    over each distribution, in their order."""
+    total = 0
+    for s, w in b.support.items():
+        for succ, p in pomdp.mdp.delta[(s, action)].items():
+            if pomdp.obs_fn[succ] == obs:
+                total += w * p
+    return total
+
+
+def belief_update(b: Belief, action: str, obs: str, pomdp: Pomdp) -> Belief:
+    """Bayes' rule: condition `b` on taking `action` and then observing `obs`.
+    The new weights are summed in the order observation_probability uses and
+    the support is listed in state order."""
+    norm = observation_probability(b, action, obs, pomdp)
+    if norm == 0:
+        raise ImpossibleObservation(
+            f"observation {obs!r} has probability 0 after action {action!r}")
+    mass: dict[int, Prob] = {}
+    for s, w in b.support.items():
+        for succ, p in pomdp.mdp.delta[(s, action)].items():
+            if p != 0 and pomdp.obs_fn[succ] == obs:
+                mass[succ] = mass.get(succ, 0) + w * p
+    return Belief({s: m / norm for s, m in sorted(mass.items())})
+
+
+def belief_rewards(bmdp: BeliefMdp, pomdp: Pomdp) -> dict[int, float]:
+    """Expected ground reward of each belief state."""
+    return {
+        s: float(sum(w * pomdp.reward(q) for q, w in b.support.items()))
+        for s, b in bmdp.belief_of_state.items()
+    }
+
+
+#: value_iteration stops after a sweep that changes no value by VALUE_TOL or more.
+VALUE_TOL = 1e-12
+
+
+def value_iteration(
+    mdp: Mdp,
+    reward_fn: Mapping[int, float],
+    gamma: float,
+    terminal_states: frozenset[int] | set[int] = frozenset(),
+) -> tuple[dict[int, float], dict[int, str]]:
+    """Optimal state values and a greedy policy for a known MDP.
+
+    Rewards are earned on entering the successor state. Terminal states have
+    value 0 and no policy entry: reaching one ends the episode, so nothing
+    accrues beyond the entry reward. Iterates until the sup-norm residual
+    drops below VALUE_TOL.
+    """
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError(f"gamma must be in [0, 1), got {gamma}")
+    values = {s: 0.0 for s in mdp.states}
+    live = [s for s in mdp.states if s not in terminal_states]
+
+    def backup(s: int, a: str) -> float:
+        total = 0.0
+        for succ, p in mdp.distribution(s, a).items():
+            fp = float(p)
+            total += fp * reward_fn.get(succ, 0.0)
+            if succ not in terminal_states:
+                total += fp * gamma * values[succ]
+        return total
+
+    while True:
+        residual = 0.0
+        for s in live:
+            best = max(backup(s, a) for a in mdp.actions)
+            residual = max(residual, abs(best - values[s]))
+            values[s] = best
+        if residual < VALUE_TOL:
+            break
+    policy: dict[int, str] = {}
+    for s in live:
+        best_a, best_v = None, None
+        for a in mdp.actions:
+            total = backup(s, a)
+            if best_v is None or total > best_v + 1e-12:
+                best_a, best_v = a, total
+        policy[s] = best_a
+    return values, policy
 
 
 def reference_expected_steps(

@@ -159,14 +159,26 @@ MUTANTS = [
     ),
     Mutant(
         "belief-budget-off-by-one", "src/poql/beliefs.py",
-        "        if len(beliefs) + len(fresh) > max_states:\n",
-        "        if len(beliefs) + len(fresh) >= max_states:\n",
+        "        room = max_states - len(beliefs)\n",
+        "        room = max_states - len(beliefs) - 1\n",
+        ("tests/test_beliefs.py::test_belief_mdp_matches_the_branch_by_branch_build",),
+    ),
+    Mutant(
+        "belief-early-stop-off-by-one", "src/poql/beliefs.py",
+        "            if len(fresh) > room:\n",
+        "            if len(fresh) >= room:\n",
         ("tests/test_beliefs.py::test_belief_mdp_matches_the_branch_by_branch_build",),
     ),
     Mutant(
         "belief-known-key-counted-fresh", "src/poql/beliefs.py",
         "                    if k not in index:\n",
         "                    if True:\n",
+        ("tests/test_beliefs.py::test_belief_mdp_matches_the_branch_by_branch_build",),
+    ),
+    Mutant(
+        "belief-support-unsorted", "src/poql/beliefs.py",
+        "    return Belief({s: w / norm for s, w in sorted(new.items())}), norm\n",
+        "    return Belief({s: w / norm for s, w in new.items()}), norm\n",
         ("tests/test_beliefs.py::test_belief_mdp_matches_the_branch_by_branch_build",),
     ),
 ]

@@ -41,7 +41,7 @@ from poql.models import (
 )
 
 from helpers import (RepeatActionAgent, fully_observable, reference_episode,
-                     reference_evaluate, reference_train)
+                     reference_evaluate, reference_train, value_iteration)
 
 ACTIONS = ("up", "down", "left", "right")
 
@@ -490,7 +490,6 @@ def test_evaluate_oracle_policy_matches_shortest_path():
     deterministic grid, needs exactly the breadth-first distance."""
     from collections import deque
 
-    from poql.beliefs import value_iteration
     from poql.envs import GridSpec, grid_pomdp
 
     layout = """

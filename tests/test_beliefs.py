@@ -9,19 +9,23 @@ from hypothesis import given, settings, strategies as st
 
 from poql.beliefs import (
     Belief,
-    ImpossibleObservation,
     belief_mdp_as_mdp,
-    belief_update,
     build_belief_mdp,
     initial_belief,
-    observation_probability,
     optimal_expected_steps,
-    value_iteration,
 )
-from poql.envs import GridSpec, confusing_officeworld_world, grid_pomdp, make_environment
+from poql.envs import GridSpec, grid_pomdp, make_environment
 from poql.models import Mdp
 
-from helpers import fully_observable, reference_expected_steps
+from helpers import (
+    ImpossibleObservation,
+    belief_rewards,
+    belief_update,
+    fully_observable,
+    observation_probability,
+    reference_expected_steps,
+    value_iteration,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +163,15 @@ def test_injective_observations_recover_the_mdp(beverage_world):
     vals_ground, _ = value_iteration(ground, pomdp.reward_fn, 0.9,
                                      terminal_states=pomdp.goal_states)
     as_mdp = belief_mdp_as_mdp(bmdp)
-    reward = bmdp.reward_fn(pomdp)
+    reward = belief_rewards(bmdp, pomdp)
     vals_belief, _ = value_iteration(as_mdp, reward, 0.9,
                                      terminal_states=bmdp.goal_states(pomdp))
+    steps_ground = optimal_expected_steps(ground, pomdp.goal_states)
+    steps_belief = optimal_expected_steps(as_mdp, bmdp.goal_states(pomdp))
     for s, b in bmdp.belief_of_state.items():
         (q,) = b.support
         assert vals_belief[s] == pytest.approx(vals_ground[q], abs=1e-6)
+        assert steps_belief[s] == steps_ground[q]
 
 
 def test_belief_mdp_max_states_validation(beverage_world):
@@ -177,7 +184,9 @@ def test_belief_mdp_max_states_validation(beverage_world):
 
 def _reference_belief_mdp(pomdp, max_states):
     """build_belief_mdp branch by branch: each branch's probability from
-    observation_probability and its belief from belief_update."""
+    observation_probability and its belief from belief_update, both written
+    out from the POMDP in tests/helpers.py, and every branch computed before
+    the budget check."""
     beliefs = [initial_belief(pomdp)]
     index = {beliefs[0].key(): 0}
     trans = {}
@@ -229,10 +238,11 @@ def _typed(mapping):
     ("beverage_world", 10_000),
     ("beverage_chain_world", 12),
     ("confusing_officeworld", 10_000),
+    ("gravity", 300),
 ])
 def test_belief_mdp_matches_the_branch_by_branch_build(request, world, max_states, floats):
-    if world == "confusing_officeworld":
-        pomdp = confusing_officeworld_world().pomdp
+    if world in ("confusing_officeworld", "gravity"):
+        pomdp = make_environment(world).pomdp
     else:
         pomdp = request.getfixturevalue(world).pomdp
     if floats:
@@ -350,7 +360,7 @@ def test_memoryless_policy_gamma_threshold(beverage_world):
     pomdp = beverage_world.pomdp
     bmdp = build_belief_mdp(pomdp)
     mdp = belief_mdp_as_mdp(bmdp)
-    reward = bmdp.reward_fn(pomdp)
+    reward = belief_rewards(bmdp, pomdp)
     goals = bmdp.goal_states(pomdp)
 
     def action_at_b1(gamma):

@@ -293,6 +293,12 @@ def test_mdp_requires_total_delta():
         Mdp((0, 1), 0, ("a",), {(0, "a"): {1: 1}})
 
 
+def test_mdp_refuses_an_empty_action_tuple():
+    # An agent has nothing to choose from, so the first episode would never end.
+    with pytest.raises(ValueError, match="at least one action"):
+        Mdp((0,), 0, (), {})
+
+
 def test_mdp_rejects_bad_distribution():
     with pytest.raises(ValueError, match="sums"):
         Mdp((0,), 0, ("a",), {(0, "a"): {0: 0.5}})
