@@ -18,14 +18,26 @@ fire and a tail is compatible with anything. Above 2/e^2 the exact test runs
 at each step of the tail against the other side, so the learned model is
 the same as with a fully expanded tree at every eps_al.
 
+The same bound prunes the compatibility test's descent. Outside the red
+states the automaton is a forest, so no count below an edge exceeds the
+edge's count, and a child pair under edge counts m_r and m_b is visited only
+if sqrt(ln(2 / eps_al) / 2) * (1/sqrt(m_r) + 1/sqrt(m_b)) is at most 1,
+with 0 in place of 1/sqrt(m_r) when r's child is red: the red region is
+cyclic, so its counts have no such bound. Likewise a tail walk stops where
+it leaves the red states by an edge whose count m already gives a tail
+bound sqrt(ln(2 / eps_al) / 2) * (1/sqrt(m) + 1) above 1.
+
 Each node keeps one edge table, (action, observation) -> a mutable
-[count, child] record, next to its per-action count totals. Adding a trace,
-folding a merged subtree, testing compatibility and choosing the next blue
-node each make one lookup per edge and update counts in place; a merge
-redirects the blue node's incoming edge by replacing its record's child.
-Edges are keyed by the traces' own (action, observation) pairs. The loaders
-(`observation_traces`) give equal pairs one shared tuple, which only makes
-the key lookups faster: results depend on key equality alone.
+[count, child] record. Adding a trace, folding a merged subtree, testing
+compatibility and choosing the next blue node each make one lookup per edge
+and update counts in place; a merge redirects the blue node's incoming edge
+by replacing its record's child. The per-action count totals are derived
+from the records: the two writers, `_add_path` and `_fold`, only mark a
+node's cached totals stale, and the Hoeffding tests recount them where
+they read a stale node, so no totals are kept for the many nodes that no
+test reads. Edges are keyed by the traces' own (action, observation) pairs.
+The loaders (`observation_traces`) give equal pairs one shared tuple, which
+only makes the key lookups faster: results depend on key equality alone.
 
 A learning run mutates its own tree, so each invocation is single-threaded;
 the returned models are immutable.
@@ -54,14 +66,23 @@ class InconsistentSample(ValueError):
 
 _EMPTY = MappingProxyType({})
 
+# _INV_SQRT[n] is 1/sqrt(n) for the counts n >= 1 that most Hoeffding bounds
+# meet: the compatibility test reads it here, which costs less than the call
+# and gives the same float.
+_INV_SQRT_LEN = 4096
+_INV_SQRT = (0.0,) + tuple(1.0 / sqrt(n) for n in range(1, _INV_SQRT_LEN))
+
 
 class IofptaNode:
     """Prefix tree node: an observation label plus frequency-annotated edges.
 
     edges maps each (action, observation) to a mutable [count, child]
     record; an edge exists iff its count is positive, and its child's label
-    is always the key's observation. totals caches the per-action count
-    sums. children and freq are read-only copies of the records' two fields.
+    is always the key's observation. totals is a read-only view of the
+    per-action count sums, derived from the records and cached in _totals;
+    a writer of the records sets _totals to None (stale), and `_totals_of`
+    recounts it. children and freq are read-only copies of the records' two
+    fields.
 
     A node that only one trace reaches is a compressed tail: steps is that
     trace's step tuple and pos the index of the node's outgoing step, so the
@@ -70,7 +91,7 @@ class IofptaNode:
     Expanded nodes have steps None.
     """
 
-    __slots__ = ("label", "edges", "totals", "red_index", "steps", "pos")
+    __slots__ = ("label", "edges", "_totals", "red_index", "steps", "pos")
 
     def __init__(
         self, label: str, steps: Sequence[tuple[str, str]] | None = None, pos: int = 0
@@ -81,9 +102,13 @@ class IofptaNode:
         self.pos = pos
         if steps is None:
             self.edges: dict[tuple[str, str], list] = {}
-            self.totals: dict[str, int] = {}
+            self._totals: dict[str, int] | None = None
         else:
-            self.edges = self.totals = _EMPTY
+            self.edges = self._totals = _EMPTY
+
+    @property
+    def totals(self) -> Mapping[str, int]:
+        return MappingProxyType(_totals_of(self))
 
     @property
     def children(self) -> Mapping[tuple[str, str], IofptaNode]:
@@ -100,11 +125,20 @@ class IofptaNode:
         if steps is None:
             return
         self.steps = None
-        self.edges, self.totals = {}, {}
+        self.edges, self._totals = {}, None
         if self.pos < len(steps):
             key = steps[self.pos]
             self.edges[key] = [1, IofptaNode(key[1], steps, self.pos + 1)]
-            self.totals[key[0]] = 1
+
+
+def _totals_of(node: IofptaNode) -> dict[str, int]:
+    """node's per-action count sums, recounted from its edges if stale."""
+    totals = node._totals
+    if totals is None:
+        totals = node._totals = {}
+        for (action, _), edge in node.edges.items():
+            totals[action] = totals.get(action, 0) + edge[0]
+    return totals
 
 
 def _add_path(node: IofptaNode, steps: Sequence[tuple[str, str]], pos: int) -> None:
@@ -118,12 +152,11 @@ def _add_path(node: IofptaNode, steps: Sequence[tuple[str, str]], pos: int) -> N
                 node.expand()
                 edge = node.edges.get(key)
             if edge is None:
-                totals = node.totals
-                totals[key[0]] = totals.get(key[0], 0) + 1
                 node.edges[key] = [1, IofptaNode(key[1], steps, pos + 1)]
+                node._totals = None
                 return
         edge[0] += 1
-        node.totals[key[0]] += 1  # an existing edge's action has a total
+        node._totals = None
         node = edge[1]
 
 
@@ -175,9 +208,12 @@ def compatible(r: IofptaNode, b: IofptaNode, eps_al: float) -> bool:
     sides. An action seen on one side only passes, and a tail counts n = 1
     at each of its steps. A test runs only where its bound is at most 1,
     because frequencies never differ by more. The second node always lies in
-    an unmerged part of the tree, which bounds the descent. The node pairs
-    that one path reaches from (r, b) wait on a stack; no test changes
-    either tree, so their order cannot change the result.
+    an unmerged part of the tree, which bounds the descent. So does the
+    first node wherever it is not red: a child pair whose two edge counts
+    already give a bound above 1 is not visited, because no count below it
+    is larger. The node pairs that one path reaches from (r, b) wait on a
+    stack; no test changes either tree, so their order cannot change the
+    result.
     """
     bound_scale = _bound_scale(eps_al)
     if r.label != b.label:
@@ -196,8 +232,17 @@ def compatible(r: IofptaNode, b: IofptaNode, eps_al: float) -> bool:
         for key, b_edge in b.edges.items():
             r_edge = r_edges.get(key)
             # Both children carry the key's observation as their label.
-            if r_edge is not None and r_edge[1] is not b_edge[1]:
-                pairs.append((r_edge[1], b_edge[1]))
+            if r_edge is None or r_edge[1] is b_edge[1]:
+                continue
+            # No count below a non-red child exceeds its edge's count; a red
+            # child heads a cycle, so its counts have no bound.
+            m_r, m_b = r_edge[0], b_edge[0]
+            r_term = (0.0 if r_edge[1].red_index is not None else
+                      _INV_SQRT[m_r] if m_r < _INV_SQRT_LEN else 1.0 / sqrt(m_r))
+            b_term = _INV_SQRT[m_b] if m_b < _INV_SQRT_LEN else 1.0 / sqrt(m_b)
+            if bound_scale * (r_term + b_term) > 1.0:
+                continue  # every test below has a bound above 1
+            pairs.append((r_edge[1], b_edge[1]))
     return True
 
 
@@ -208,10 +253,13 @@ def _node_compatible(r: IofptaNode, b: IofptaNode, bound_scale: float) -> bool:
     1; a key only b has differs by its frequency on b's side.
     """
     tested = {}
-    for action, n2 in b.totals.items():
-        n1 = r.totals.get(action, 0)
+    r_totals = _totals_of(r)
+    for action, n2 in _totals_of(b).items():
+        n1 = r_totals.get(action, 0)
         if n1:
-            bound = bound_scale * (1.0 / sqrt(n1) + 1.0 / sqrt(n2))
+            bound = bound_scale * (
+                (_INV_SQRT[n1] if n1 < _INV_SQRT_LEN else 1.0 / sqrt(n1))
+                + (_INV_SQRT[n2] if n2 < _INV_SQRT_LEN else 1.0 / sqrt(n2)))
             if bound <= 1.0:  # frequency differences never exceed 1
                 tested[action] = (n1, n2, bound)
     if not tested:
@@ -241,7 +289,8 @@ def _tail_compatible(r: IofptaNode, b: IofptaNode, bound_scale: float) -> bool:
     bound_scale * (1/sqrt(n) + 1), and a frequency difference can reach it
     only if it is at most 1. There the tail's own key differs by 1 - f0/n, and
     every other key of the action by f/n <= (n - f0)/n, so those are scanned
-    only if (n - f0)/n can fail.
+    only if (n - f0)/n can fail. Past a tree edge whose count m gives
+    bound_scale * (1/sqrt(m) + 1) above 1, every step's bound is above 1.
     """
     if b.steps is not None:
         tail, other = b, r
@@ -253,11 +302,14 @@ def _tail_compatible(r: IofptaNode, b: IofptaNode, bound_scale: float) -> bool:
             return True  # two tails: every bound exceeds 1
         key = steps[pos]
         edge = other.edges.get(key)
+        totals = other._totals
+        if totals is None:  # _totals_of, inlined on this per-step path
+            totals = _totals_of(other)
         if edge is None:
             # The tail's key is unseen: rejected iff its action is tested.
-            n = other.totals.get(key[0], 0)
+            n = totals.get(key[0], 0)
             return not n or bound_scale * (1.0 / sqrt(n) + 1.0) > 1.0
-        n = other.totals[key[0]]
+        n = totals[key[0]]
         f0 = edge[0]
         if f0 != n:  # else the tail's key is the action's only one: no difference
             bound = bound_scale * (1.0 / sqrt(n) + 1.0)
@@ -270,6 +322,8 @@ def _tail_compatible(r: IofptaNode, b: IofptaNode, bound_scale: float) -> bool:
                         if k[0] == action and k != key and e[0] / n >= bound:
                             return False
         other = edge[1]
+        if other.red_index is None and bound_scale * (1.0 / sqrt(edge[0]) + 1.0) > 1.0:
+            return True  # no count below a tree edge exceeds the edge's
     return True
 
 
@@ -290,15 +344,14 @@ def _fold(target: IofptaNode, source: IofptaNode) -> None:
             _add_path(target, source.steps, source.pos)
         elif source.edges:
             target.expand()
-            edges, totals = target.edges, target.totals
+            target._totals = None
+            edges = target.edges
             for key, s_edge in source.edges.items():
                 t_edge = edges.get(key)
                 if t_edge is None:
-                    totals[key[0]] = totals.get(key[0], 0) + s_edge[0]
                     edges[key] = s_edge
                 else:
                     t_edge[0] += s_edge[0]
-                    totals[key[0]] += s_edge[0]
                     pairs.append((t_edge[1], s_edge[1]))
 
 

@@ -132,6 +132,46 @@ MUTANTS = [
         ("tests/test_agent.py::test_train_matches_the_reference_trainer",),
     ),
     Mutant(
+        "prune-red-child-as-tree", "src/poql/learn.py",
+        "            r_term = (0.0 if r_edge[1].red_index is not None else\n",
+        "            r_term = (0.0 if False else\n",
+        ("tests/test_learn.py::test_compatible_follows_a_red_edge_whatever_its_count",
+         "tests/test_learn.py::test_compatible_matches_the_per_key_test_on_partly_merged_trees"),
+    ),
+    Mutant(
+        "prune-at-bound-one", "src/poql/learn.py",
+        "            if bound_scale * (r_term + b_term) > 1.0:\n",
+        "            if bound_scale * (r_term + b_term) >= 1.0:\n",
+        ("tests/test_learn.py::"
+         "test_compatible_visits_a_child_pair_whose_pruning_bound_is_exactly_one",),
+    ),
+    Mutant(
+        "tail-prune-red-other-as-tree", "src/poql/learn.py",
+        "        if other.red_index is None and bound_scale * ",
+        "        if bound_scale * ",
+        ("tests/test_learn.py::test_compatible_follows_a_red_edge_whatever_its_count",
+         "tests/test_learn.py::test_compatible_matches_the_per_key_test_on_partly_merged_trees"),
+    ),
+    Mutant(
+        "tail-prune-at-bound-one", "src/poql/learn.py",
+        " * (1.0 / sqrt(edge[0]) + 1.0) > 1.0:\n",
+        " * (1.0 / sqrt(edge[0]) + 1.0) >= 1.0:\n",
+        ("tests/test_learn.py::"
+         "test_compatible_walks_a_tail_past_a_tree_edge_whose_bound_is_exactly_one",),
+    ),
+    Mutant(
+        "fold-keeps-stale-totals", "src/poql/learn.py",
+        "            target.expand()\n            target._totals = None\n",
+        "            target.expand()\n",
+        ("tests/test_learn.py::test_edge_tables_stay_consistent_through_the_merges",),
+    ),
+    Mutant(
+        "add-path-keeps-stale-totals", "src/poql/learn.py",
+        "        edge[0] += 1\n        node._totals = None\n",
+        "        edge[0] += 1\n",
+        ("tests/test_learn.py::test_edge_tables_stay_consistent_through_the_merges",),
+    ),
+    Mutant(
         "label-clash-accepted", "src/poql/models.py",
         "                    if other is not nxt:\n",
         "                    if False:\n",

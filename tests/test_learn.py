@@ -225,6 +225,7 @@ def _eps_al_at_tie(n1, n2, diff):
     ({"b": 8, "c": 2}, {"b": 2, "c": 8}, (0.8, 0.2)),  # key b, on both sides
     ({"b": 9, "c": 1}, {"b": 5, "d": 5}, (0.0, 0.5)),  # key d, only on b's side
     ({"b": 2}, {"c": 2}, (0.0, 1.0)),  # key c, at a bound of exactly 1
+    ({"b": 2600, "c": 2400}, {"b": 2500, "c": 2500}, (0.52, 0.5)),  # n past the 1/sqrt table
 ])
 def test_node_compatible_rejects_a_difference_equal_to_its_bound(r_counts, b_counts,
                                                                  deciding):
@@ -530,21 +531,10 @@ def test_learned_model_conserves_mass_and_replays_its_sample(traces, eps_al):
     _assert_sample_replays(traces, run_ioalergia(traces, LearnerConfig(eps_al)))
 
 
-@settings(max_examples=100, deadline=None)
-@given(traces=_samples(), eps_al=_EPS_AL)
-def test_edge_tables_stay_consistent_through_the_merges(traces, eps_al):
-    """After a whole run, every node left reachable from the root (states,
-    and the subtrees that merges grafted onto them) keys each edge record by
-    its child's observation, and keeps totals equal to its edges' counts."""
-    trees = []
-
-    def build_and_keep(sample):
-        trees.append(build_iofpta(sample))
-        return trees[-1]
-
-    with mock.patch.object(poql.learn, "build_iofpta", build_and_keep):
-        run_ioalergia(traces, LearnerConfig(eps_al))
-    seen, stack = set(), [trees[0].root]
+def _assert_edge_tables_consistent(root):
+    """Every node reachable from root keys each edge record by its child's
+    observation, and its totals equal its edges' counts per action."""
+    seen, stack = set(), [root]
     while stack:
         node = stack.pop()
         if id(node) in seen:
@@ -557,6 +547,29 @@ def test_edge_tables_stay_consistent_through_the_merges(traces, eps_al):
             stack.append(child)
         assert node.totals == totals
         assert node.steps is None or node.edges == {}
+
+
+@settings(max_examples=100, deadline=None)
+@given(traces=_samples(), eps_al=_EPS_AL)
+def test_edge_tables_stay_consistent_through_the_merges(traces, eps_al):
+    """After every fold and after the whole run, the nodes reachable from
+    the root (states, and the subtrees that merges grafted onto them) have
+    consistent edge tables. Reading totals caches them, so a writer that
+    leaves a cached total stale shows at the next fold."""
+    trees, fold = [], poql.learn._fold
+
+    def build_and_keep(sample):
+        trees.append(build_iofpta(sample))
+        return trees[-1]
+
+    def fold_and_check(target, source):
+        fold(target, source)
+        _assert_edge_tables_consistent(trees[0].root)
+
+    with mock.patch.object(poql.learn, "build_iofpta", build_and_keep), \
+            mock.patch.object(poql.learn, "_fold", fold_and_check):
+        run_ioalergia(traces, LearnerConfig(eps_al))
+    _assert_edge_tables_consistent(trees[0].root)
 
 
 @settings(max_examples=100, deadline=None)
@@ -694,8 +707,9 @@ def _tail_cases(draw):
     return eps_al, repeated, singles
 
 
-def _first_nodes(tree, limit=16):
-    nodes, queue = [], [tree.root]
+def _first_nodes(node, limit=16):
+    """The first limit nodes of node's subtree, breadth first."""
+    nodes, queue = [], [node]
     while queue and len(nodes) < limit:
         node = queue.pop(0)
         nodes.append(node)
@@ -707,7 +721,7 @@ def _first_nodes(tree, limit=16):
 @given(case=_tail_cases())
 def test_compatible_matches_the_per_key_test(case):
     eps_al, repeated, singles = case
-    nodes = _first_nodes(build_iofpta(repeated)) + _first_nodes(build_iofpta(singles))
+    nodes = _first_nodes(build_iofpta(repeated).root) + _first_nodes(build_iofpta(singles).root)
     for r in nodes:
         for b in nodes:
             assert compatible(r, b, eps_al) == _reference_compatible(r, b, eps_al)
@@ -721,11 +735,103 @@ def test_compatible_monotone_in_eps(case, other_eps_al):
     eps_al, repeated, singles = case
     lo, hi = sorted((eps_al, other_eps_al))
     assume(lo < hi)
-    nodes = _first_nodes(build_iofpta(repeated)) + _first_nodes(build_iofpta(singles))
+    nodes = _first_nodes(build_iofpta(repeated).root) + _first_nodes(build_iofpta(singles).root)
     for r in nodes:
         for b in nodes:
             if compatible(r, b, hi):
                 assert compatible(r, b, lo)
+
+
+def _red_states(root):
+    """The red states of a run in progress: root and the red nodes that red
+    edges reach from it, in promotion order."""
+    red, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in red:
+            red[id(node)] = node
+            stack.extend(child for _, child in node.edges.values()
+                         if child.red_index is not None)
+    return sorted(red.values(), key=lambda node: node.red_index)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_tail_cases())
+def test_compatible_matches_the_per_key_test_on_partly_merged_trees(case):
+    """At each test of a run, on both sides of 2/e^2: every red state and
+    every early node of the blue node's subtree against every early node of
+    that subtree. A red child heads a cycle, so unlike a tree child its
+    counts are not bounded by its edge's count, and the descent must not
+    skip it for a small one."""
+    eps_al, repeated, singles = case
+    trees = []
+
+    def build_and_keep(sample):
+        trees.append(build_iofpta(sample))
+        return trees[-1]
+
+    def compatible_and_check(r, b, eps):
+        blue_subtree = _first_nodes(b, 6)
+        for r2 in _red_states(trees[0].root) + blue_subtree:
+            for b2 in blue_subtree:
+                assert compatible(r2, b2, eps) == _reference_compatible(r2, b2, eps)
+        return compatible(r, b, eps)
+
+    with mock.patch.object(poql.learn, "build_iofpta", build_and_keep), \
+            mock.patch.object(poql.learn, "compatible", compatible_and_check):
+        run_ioalergia(repeated + singles, LearnerConfig(eps_al))
+
+
+def test_compatible_follows_a_red_edge_whatever_its_count():
+    """A red state heads a cycle, so an edge of count 1 into one bounds
+    nothing below it. Here the tail's y -> a -> b path reaches, by such an
+    edge, a red state whose 30 z steps all see c, and rejects the tail's
+    unseen z -> d; the descent and the tail walk must both follow it."""
+    r = build_iofpta([_trace("a", ("y", "a"), ("x", "b"))]).root
+    hub = build_iofpta([_trace("b", ("z", "c"))] * 30).root
+    a = r.edges[("y", "a")][1]
+    a.expand()
+    a.edges[("x", "b")][1] = hub  # as a merge redirects an edge
+    r.red_index, a.red_index, hub.red_index = 0, 1, 2
+    b = build_iofpta([_trace("a", ("y", "a"), ("x", "b"), ("z", "d"))]).root
+    assert _bound_scale(0.5) * (1.0 / math.sqrt(30) + 1.0) <= 1.0
+    assert not _reference_compatible(r, b, 0.5)
+    assert not compatible(r, b, 0.5)
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_compatible_visits_a_child_pair_whose_pruning_bound_is_exactly_one(count):
+    """Both roots take x to b `count` times, then y to c on one side and to
+    d on the other. At an eps_al where the child pair's pruning bound,
+    bound_scale * 2/sqrt(count), is exactly 1.0 in floats, the descent must
+    visit the pair, because a test runs at a bound of 1: there the y test
+    rejects a difference of 1. With the bound just above 1 no test runs."""
+    r = build_iofpta([_trace("a", ("x", "b"), ("y", "c"))] * count).root
+    b = build_iofpta([_trace("a", ("x", "b"), ("y", "d"))] * count).root
+    eps_al = _eps_al_at_tie(count, count, 1.0)
+    assert _node_bound(eps_al, count, count) == 1.0
+    assert not _reference_compatible(r, b, eps_al)
+    assert not compatible(r, b, eps_al)
+    smaller = math.nextafter(eps_al, 0.0)
+    assert _node_bound(smaller, count, count) > 1.0
+    assert compatible(r, b, smaller)
+
+
+def test_compatible_walks_a_tail_past_a_tree_edge_whose_bound_is_exactly_one():
+    """A tail walk leaves a red state by a tree edge of count 4, at an
+    eps_al where the tail bound against 4 is exactly 1.0. The walk must go
+    on below that edge: there the tail's z -> d is unseen among four z -> c
+    steps, a difference of exactly 1. With the bound just above 1 no test
+    below the edge can fire."""
+    r = build_iofpta([_trace("a", ("y", "a"), ("x", "b"), ("z", "c"))] * 4).root
+    b = build_iofpta([_trace("a", ("y", "a"), ("x", "b"), ("z", "d"))]).root
+    r.red_index, r.edges[("y", "a")][1].red_index = 0, 1
+    eps_al = _eps_al_at_tie(4, 1, 1.0)
+    assert not _reference_compatible(r, b, eps_al)
+    assert not compatible(r, b, eps_al)
+    smaller = math.nextafter(eps_al, 0.0)
+    assert _node_bound(smaller, 4, 1) > 1.0
+    assert compatible(r, b, smaller)
 
 
 def _tree_snapshot(root):
@@ -751,7 +857,7 @@ def test_compatible_mutates_neither_tree(case):
     eps_al, repeated, singles = case
     trees = [build_iofpta(repeated), build_iofpta(singles)]
     before = [_tree_snapshot(tree.root) for tree in trees]
-    nodes = _first_nodes(trees[0]) + _first_nodes(trees[1])
+    nodes = _first_nodes(trees[0].root) + _first_nodes(trees[1].root)
     for r in nodes:
         for b in nodes:
             compatible(r, b, eps_al)
